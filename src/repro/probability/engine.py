@@ -7,9 +7,8 @@ events' joint support — Eq. (2) of the paper.  Since the kernel rewrite,
 :class:`~repro.probability.kernel.ProbabilityKernel` shared per
 dictionary: queries are compiled once into bitset mask tables, subset
 probabilities come from meet-in-the-middle mass tables, and disconnected
-supports are factorized into independent components.  Results in the
-default exact mode are equal, as :class:`~fractions.Fraction` values, to
-the seed enumeration's.
+supports are factorized into independent components.  Results are
+equal, as :class:`~fractions.Fraction` values, to the seed enumeration's.
 
 :class:`NaiveExactEngine` preserves that seed enumeration — a fresh
 backtracking evaluation and an ``n``-term probability product on each of
@@ -48,21 +47,21 @@ class ExactEngine:
     Engines with the same dictionary object share one
     :class:`~repro.probability.kernel.ProbabilityKernel`, so compiled
     query tables and joint distributions are computed once per process
-    regardless of how many engines are constructed.  ``exact=False``
-    selects the kernel's fast float mode (probabilities become floats;
-    compilation and structural results are unchanged).
+    regardless of how many engines are constructed.  Every probability
+    is an exact :class:`~fractions.Fraction`: the kernel's mass tables
+    hold integer numerators over one shared denominator and build a
+    single ``Fraction`` per mass.
     """
 
     def __init__(
         self,
         dictionary: Dictionary,
         max_support_size: Optional[int] = None,
-        exact: bool = True,
     ):
         # The shared kernel holds its dictionary weakly; this strong
         # reference keeps it alive for as long as the engine is.
         self._dictionary = dictionary
-        self._kernel = ProbabilityKernel.shared(dictionary, exact=exact)
+        self._kernel = ProbabilityKernel.shared(dictionary)
         # None defers to the kernel defaults: DEFAULT_MAX_SUPPORT per
         # structural component, PREDICATE_MAX_SUPPORT per component that
         # needs the opaque-predicate fallback.  An explicit bound is

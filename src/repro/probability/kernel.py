@@ -9,12 +9,14 @@ instead of per-subset re-evaluation:
   tables (:mod:`~repro.probability.compiled_event`): one satisfying-
   assignment enumeration against the full support plus a subset zeta
   transform replaces ``2^n`` backtracking searches.
-* **Mass precomputation** — the Eq. (1) probability of every sub-instance
-  is served from a meet-in-the-middle table of half-mask products
-  (``O(2^(n/2))`` space, one multiplication per mask) instead of an
-  ``n``-term product per subset.  An exact :class:`~fractions.Fraction`
-  mode (the default, bit-for-bit equal to the seed engine) and a fast
-  ``float`` mode are provided.
+* **Mass precomputation on integer numerators** — the Eq. (1)
+  probability of every sub-instance is served from a meet-in-the-middle
+  table of half-mask products (``O(2^(n/2))`` space, one multiplication
+  per mask) instead of an ``n``-term product per subset.  The tables hold
+  plain integers over the shared denominator ``∏ den_i`` of the tuple
+  probabilities, so a mass is an integer sum and each
+  :meth:`MassTable.mass` call builds one :class:`~fractions.Fraction` —
+  bit-for-bit equal to the seed engine's exact result.
 * **Independence factorization** (Proposition 4.13(3)) — the support is
   partitioned into connected components induced by the events' supports;
   tuple-independence makes the components independent, so each is
@@ -35,7 +37,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..exceptions import IntractableAnalysisError, ProbabilityError
 from ..obs import span
@@ -81,79 +83,82 @@ class MassTable:
     """Meet-in-the-middle sub-instance probabilities over one support.
 
     Splits the support into a low and a high half and tabulates the
-    Eq. (1) product of each half-mask once; the total mass of a mask
-    table is then accumulated per high-half chunk, so each set bit costs
-    one table lookup and one addition instead of an ``n``-term product.
+    Eq. (1) product of each half-mask once, as an integer numerator:
+    every entry of a half shares the denominator ``∏ den_i`` of its
+    tuple probabilities, so the entry for a half-mask is ``∏ num_i`` over
+    its present tuples times ``∏ (den_i − num_i)`` over its absent ones.
+    The total mass of a mask table is then accumulated per high-half
+    chunk in plain integer arithmetic — one table lookup and one integer
+    addition per set bit — and :meth:`mass` builds a single
+    :class:`~fractions.Fraction` over the shared denominator at the end.
     """
 
-    __slots__ = ("facts", "exact", "_low_bits", "_low", "_high")
+    __slots__ = ("facts", "_low_bits", "_low", "_high", "_denominator")
 
-    def __init__(self, dictionary: Dictionary, facts: Sequence[Fact], exact: bool = True):
+    def __init__(self, dictionary: Dictionary, facts: Sequence[Fact]):
         self.facts = tuple(facts)
-        self.exact = exact
-        one = Fraction(1) if exact else 1.0
-        probabilities = []
-        for fact in self.facts:
-            p = dictionary.probability_of(fact)
-            probabilities.append(p if exact else float(p))
-        n = len(self.facts)
-        self._low_bits = n // 2
-        self._low = self._half_table(probabilities[: self._low_bits], one)
-        self._high = self._half_table(probabilities[self._low_bits :], one)
+        probabilities = [dictionary.probability_of(fact) for fact in self.facts]
+        self._low_bits = len(self.facts) // 2
+        self._low, low_denominator = _numerator_table(probabilities[: self._low_bits])
+        self._high, high_denominator = _numerator_table(probabilities[self._low_bits :])
+        self._denominator = low_denominator * high_denominator
 
-    @staticmethod
-    def _half_table(probabilities, one):
-        table = [one]
-        for p in probabilities:
-            absent = one - p
-            table = [entry * absent for entry in table] + [
-                entry * p for entry in table
-            ]
-        return table
-
-    def mass(self, bits: int):
+    def mass(self, bits: int) -> Fraction:
         """Total probability of the masks whose bit is set in ``bits``."""
-        zero = Fraction(0) if self.exact else 0.0
-        total = zero
         if not bits:
-            return total
-        low_table = self._low
+            return Fraction(0)
+        high_table = self._high
         low_size = 1 << self._low_bits
         if low_size >= 8:
             # One to_bytes conversion, then byte-aligned chunk slices:
             # O(2^n) copy traffic overall, where re-shifting the whole
             # mask table per chunk would cost O(2^n · 2^(n/2)).
             chunk_bytes = low_size >> 3
-            data = bits.to_bytes(len(self._high) * chunk_bytes, "little")
-            for high, p_high in enumerate(self._high):
-                chunk = int.from_bytes(
-                    data[high * chunk_bytes : (high + 1) * chunk_bytes], "little"
-                )
-                if not chunk:
-                    continue
-                acc = zero
-                while chunk:
-                    lowest = chunk & -chunk
-                    acc += low_table[lowest.bit_length() - 1]
-                    chunk ^= lowest
-                total += acc * p_high
-            return total
-        low_all = (1 << low_size) - 1
-        for high, p_high in enumerate(self._high):
-            chunk = (bits >> (high << self._low_bits)) & low_all
+            data = bits.to_bytes(len(high_table) * chunk_bytes, "little")
+            chunks = (
+                int.from_bytes(data[start : start + chunk_bytes], "little")
+                for start in range(0, len(data), chunk_bytes)
+            )
+        else:
+            low_all = (1 << low_size) - 1
+            chunks = (
+                (bits >> (high << self._low_bits)) & low_all
+                for high in range(len(high_table))
+            )
+        low_table = self._low
+        total = 0
+        for chunk, p_high in zip(chunks, high_table):
             if not chunk:
                 continue
-            acc = zero
+            acc = 0
             while chunk:
                 lowest = chunk & -chunk
                 acc += low_table[lowest.bit_length() - 1]
                 chunk ^= lowest
             total += acc * p_high
-        return total
+        return Fraction(total, self._denominator)
 
 
-#: One shared kernel per (dictionary, mode); dropped with the dictionary.
-_SHARED: "weakref.WeakKeyDictionary[Dictionary, Dict[bool, ProbabilityKernel]]" = (
+def _numerator_table(probabilities: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Integer numerators of every half-mask's Eq. (1) product.
+
+    Returns the table (indexed by half-mask, bit ``i`` = fact ``i``
+    present) and the denominator ``∏ den_i`` that all its entries share.
+    """
+    table = [1]
+    denominator = 1
+    for p in probabilities:
+        present, scale = p.numerator, p.denominator
+        absent = scale - present
+        table = [entry * absent for entry in table] + [
+            entry * present for entry in table
+        ]
+        denominator *= scale
+    return table, denominator
+
+
+#: One shared kernel per dictionary; dropped with the dictionary.
+_SHARED: "weakref.WeakKeyDictionary[Dictionary, ProbabilityKernel]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -170,19 +175,15 @@ class ProbabilityKernel:
         (components needing the opaque-predicate fallback default to the
         tighter :data:`PREDICATE_MAX_SUPPORT`); every public method also
         accepts a per-call override, which is honoured verbatim.
-    exact:
-        ``True`` (default) computes with exact :class:`Fraction`
-        arithmetic — results are equal, as Fractions, to the seed
-        enumeration engine's.  ``False`` switches the mass layer to
-        floats for a fast approximate mode (compilation is unaffected;
-        only probabilities lose exactness).
+
+    Every probability is an exact :class:`Fraction`, equal to the seed
+    enumeration engine's.
     """
 
     def __init__(
         self,
         dictionary: Dictionary,
         max_support_size: int = DEFAULT_MAX_SUPPORT,
-        exact: bool = True,
     ):
         # The registry in :meth:`shared` weakly keys on the dictionary; a
         # strong reference here would chain back to the key and make the
@@ -192,7 +193,6 @@ class ProbabilityKernel:
         self._dictionary_ref = weakref.ref(dictionary)
         self._dictionary_strong: Optional[Dictionary] = dictionary
         self._max_support_size = max_support_size
-        self._exact = exact
         self._query_tables: Dict[Tuple, CompiledQueryTable] = {}
         self._event_bits: Dict[Tuple[int, Tuple[Fact, ...]], Tuple[Event, int]] = {}
         self._mass_tables: Dict[Tuple[Fact, ...], MassTable] = {}
@@ -220,41 +220,34 @@ class ProbabilityKernel:
 
     # -- construction -----------------------------------------------------------
     @classmethod
-    def shared(cls, dictionary: Dictionary, exact: bool = True) -> "ProbabilityKernel":
-        """The process-wide kernel for ``dictionary`` (one per mode).
+    def shared(cls, dictionary: Dictionary) -> "ProbabilityKernel":
+        """The process-wide kernel for ``dictionary``.
 
         Sharing is what turns the per-call memoization into a per-session
         guarantee: every caller holding the same :class:`Dictionary`
         object reuses the same compiled tables and joint distributions.
         The kernel is dropped when the dictionary is garbage-collected.
         """
-        kernels = _SHARED.get(dictionary)
-        if kernels is None:
-            kernels = {}
-            _SHARED[dictionary] = kernels
-        kernel = kernels.get(exact)
+        kernel = _SHARED.get(dictionary)
         if kernel is None:
-            kernel = kernels[exact] = cls(dictionary, exact=exact)
+            kernel = _SHARED[dictionary] = cls(dictionary)
             kernel._dictionary_strong = None  # see __init__: keep the key weak
         return kernel
 
     @classmethod
     def shared_stats(cls, dictionary: Dictionary) -> Optional[Dict[str, Dict[str, int]]]:
-        """Counters of the shared kernels for ``dictionary``, if any exist.
+        """Counters of the shared kernel for ``dictionary``, if it exists.
 
-        Purely observational: nothing is created.  Returns a mapping
-        ``mode → stats`` (mode is ``"exact"`` or ``"float"``) or ``None``
-        when no shared kernel has been built for the dictionary yet —
-        which is how operators can see compiled-table and distribution
-        hit rates without attaching a debugger.
+        Purely observational: nothing is created.  Returns
+        ``{"exact": stats}`` or ``None`` when no shared kernel has been
+        built for the dictionary yet — which is how operators can see
+        compiled-table and distribution hit rates without attaching a
+        debugger.
         """
-        kernels = _SHARED.get(dictionary)
-        if not kernels:
+        kernel = _SHARED.get(dictionary)
+        if kernel is None:
             return None
-        return {
-            "exact" if exact else "float": dict(kernel.stats)
-            for exact, kernel in sorted(kernels.items(), reverse=True)
-        }
+        return {"exact": dict(kernel.stats)}
 
     @property
     def dictionary(self) -> Dictionary:
@@ -266,17 +259,6 @@ class ProbabilityKernel:
                 "reference to the Dictionary while using its shared kernel"
             )
         return dictionary
-
-    @property
-    def exact(self) -> bool:
-        """Whether the mass layer uses exact rational arithmetic."""
-        return self._exact
-
-    def _zero(self):
-        return Fraction(0) if self._exact else 0.0
-
-    def _one(self):
-        return Fraction(1) if self._exact else 1.0
 
     # -- supports and components ------------------------------------------------
     def _event_support(self, event: Event) -> Tuple[Fact, ...]:
@@ -401,19 +383,19 @@ class ProbabilityKernel:
         if table is None:
             if len(self._mass_tables) >= _MEMO_LIMIT:
                 self._mass_tables.clear()
-            table = self._mass_tables[facts] = MassTable(
-                self.dictionary, facts, exact=self._exact
-            )
+            table = self._mass_tables[facts] = MassTable(self.dictionary, facts)
         return table
 
     # -- event probabilities -----------------------------------------------------
-    def probability(self, event: Event, *, max_support_size: Optional[int] = None):
-        """``P[event]``; exact (a :class:`Fraction`) in exact mode."""
+    def probability(
+        self, event: Event, *, max_support_size: Optional[int] = None
+    ) -> Fraction:
+        """``P[event]`` as an exact :class:`Fraction`."""
         return self.joint_probability([event], max_support_size=max_support_size)
 
     def joint_probability(
         self, events: Sequence[Event], *, max_support_size: Optional[int] = None
-    ):
+    ) -> Fraction:
         """``P[e1 ∧ e2 ∧ ...]`` with component factorization.
 
         Events whose supports live in disjoint components are independent
@@ -422,7 +404,7 @@ class ProbabilityKernel:
         """
         events = list(events)
         supports = [self._event_support(event) for event in events]
-        total = self._one()
+        total = Fraction(1)
         for facts, items in self._components(supports):
             self._check_component(
                 facts,
@@ -434,15 +416,15 @@ class ProbabilityKernel:
             for i in items:
                 bits &= self.event_bits(events[i], facts)
                 if not bits:
-                    return self._zero()
+                    return Fraction(0)
             total *= self.mass_table(facts).mass(bits)
             if not total:
-                return self._zero()
+                return Fraction(0)
         return total
 
     def conditional_probability(
         self, event: Event, given: Event, *, max_support_size: Optional[int] = None
-    ):
+    ) -> Fraction:
         """``P[event | given]``; raises when ``P[given] = 0``."""
         joint = self.joint_probability([event, given], max_support_size=max_support_size)
         marginal = self.probability(given, max_support_size=max_support_size)
@@ -519,7 +501,7 @@ class ProbabilityKernel:
         events: Sequence[Event] = (),
         *,
         max_support_size: Optional[int] = None,
-    ) -> Dict[Tuple, Union[Fraction, float]]:
+    ) -> Dict[Tuple, Fraction]:
         """Joint distribution of query answers and event truth values.
 
         Keys are tuples listing each query's answer set (a frozenset of
@@ -564,8 +546,8 @@ class ProbabilityKernel:
 
     def _joint_distribution_core(
         self, queries, events, components, query_count, memo_key
-    ) -> Dict[Tuple, Union[Fraction, float]]:
-        per_component: List[Tuple[Tuple[int, ...], List[Tuple[Tuple, object]]]] = []
+    ) -> Dict[Tuple, Fraction]:
+        per_component: List[Tuple[Tuple[int, ...], List[Tuple[Tuple, Fraction]]]] = []
         for facts, items in components:
             component_queries = [queries[i] for i in items if i < query_count]
             component_events = [events[i - query_count] for i in items if i >= query_count]
@@ -578,11 +560,11 @@ class ProbabilityKernel:
             ]
             per_component.append((items, outcomes))
 
-        distribution: Dict[Tuple, Union[Fraction, float]] = {}
+        distribution: Dict[Tuple, Fraction] = {}
         total_items = query_count + len(events)
         for combo in itertools.product(*(outcomes for _, outcomes in per_component)):
             key: List[object] = [None] * total_items
-            probability = self._one()
+            probability = Fraction(1)
             for (items, _), (component_key, component_probability) in zip(
                 per_component, combo
             ):
@@ -590,7 +572,7 @@ class ProbabilityKernel:
                 for slot, value in zip(items, component_key):
                     key[slot] = value
             distribution[tuple(key)] = (
-                distribution.get(tuple(key), self._zero()) + probability
+                distribution.get(tuple(key), Fraction(0)) + probability
             )
 
         if memo_key is not None:
@@ -633,13 +615,13 @@ class ProbabilityKernel:
 
     def joint_answer_distribution(
         self, queries: Sequence, *, max_support_size: Optional[int] = None
-    ) -> Dict[Tuple[FrozenSet[Tuple[object, ...]], ...], Union[Fraction, float]]:
+    ) -> Dict[Tuple[FrozenSet[Tuple[object, ...]], ...], Fraction]:
         """Joint distribution of several queries' answers (Eq. 2, joint form)."""
         return self.joint_distribution(queries, max_support_size=max_support_size)
 
     def answer_distribution(
         self, query, *, max_support_size: Optional[int] = None
-    ) -> Dict[FrozenSet[Tuple[object, ...]], Union[Fraction, float]]:
+    ) -> Dict[FrozenSet[Tuple[object, ...]], Fraction]:
         """The full distribution of ``Q(I)``: answer set → probability (Eq. 2)."""
         joint = self.joint_distribution([query], max_support_size=max_support_size)
         return {key[0]: probability for key, probability in joint.items()}

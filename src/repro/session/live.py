@@ -434,17 +434,15 @@ class LiveAuditSession:
         dictionary = self._session.dictionary
         if dictionary is None:
             return
-        from ..probability.kernel import ProbabilityKernel, _SHARED
+        from ..probability.kernel import _SHARED
 
-        kernels = _SHARED.get(dictionary)
-        if not kernels:
+        kernel = _SHARED.get(dictionary)
+        if kernel is None:
             return
-        dropped = 0
-        for kernel in kernels.values():
-            try:
-                dropped += kernel.invalidate_query(query)
-            except Exception:  # noqa: BLE001 - invalidation is best-effort
-                continue
+        try:
+            dropped = kernel.invalidate_query(query)
+        except Exception:  # noqa: BLE001 - invalidation is best-effort
+            return
         if dropped:
             self.stats.bump("kernel_invalidated", dropped)
 

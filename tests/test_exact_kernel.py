@@ -40,7 +40,13 @@ from repro.probability import (
     QueryTrue,
     truth_table,
 )
-from repro.probability.compiled_event import query_truth_bits, subset_zeta
+from repro.probability.compiled_event import (
+    query_truth_bits,
+    subset_zeta,
+    universe_mask,
+)
+from repro.probability.events import query_support
+from repro.probability.kernel import MassTable
 from repro.relational import Domain, Fact, Instance, RelationSchema, Schema
 from repro.session.engines import SamplingVerificationEngine
 
@@ -89,9 +95,19 @@ PROBABILITY_POOL = [
 ]
 
 
-def random_setup(rng):
-    """A random small schema, dictionary and pool of queries over it."""
-    values = rng.choice(DOMAIN_POOLS)
+def coprime_probability(rng):
+    """``k/1009``: a prime denominator shared with no other pool entry."""
+    return Fraction(rng.randint(1, 1008), 1009)
+
+
+def random_setup(rng, domain_pools=DOMAIN_POOLS, prime_share=0.0):
+    """A random small schema, dictionary and pool of queries over it.
+
+    ``prime_share`` is the chance that an overridden tuple gets a
+    ``k/1009`` probability instead of one from :data:`PROBABILITY_POOL`;
+    at 0 no extra random draw is made, so existing seeds keep their data.
+    """
+    values = rng.choice(domain_pools)
     domain = Domain(values, name="D")
     schema = Schema(
         [RelationSchema("R", ("x", "y")), RelationSchema("T", ("x",))], domain=domain
@@ -101,7 +117,10 @@ def random_setup(rng):
     overrides = {}
     for fact in tuple_space(schema):
         if rng.random() < 0.5:
-            overrides[fact] = rng.choice(PROBABILITY_POOL)
+            if prime_share and rng.random() < prime_share:
+                overrides[fact] = coprime_probability(rng)
+            else:
+                overrides[fact] = rng.choice(PROBABILITY_POOL)
     default = rng.choice([Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)])
     dictionary = Dictionary(schema, overrides, default=default)
     constant = rng.choice(values)
@@ -118,45 +137,77 @@ def random_setup(rng):
     return schema, dictionary, pool
 
 
+def assert_kernel_matches_seed(rng, trial, dictionary, pool):
+    """Every kernel answer on a random secret/view pair equals the seed's.
+
+    Returns the size of the joint support the pair was enumerated over.
+    """
+    fast = ExactEngine(dictionary)
+    naive = NaiveExactEngine(dictionary)
+    secret, view = rng.sample(pool, 2)
+
+    assert fast.answer_distribution(secret) == naive.answer_distribution(
+        secret
+    ), f"trial {trial}: answer distributions diverge"
+    assert fast.joint_answer_distribution(
+        [secret, view]
+    ) == naive.joint_answer_distribution([secret, view]), (
+        f"trial {trial}: joint distributions diverge"
+    )
+    assert set(fast.possible_answers(secret)) == set(
+        naive.possible_answers(secret)
+    ), f"trial {trial}: possible answers diverge"
+
+    answer = rng.choice(naive.possible_answers(secret))
+    given = rng.choice(naive.possible_answers(view))
+    s_event = QueryAnswerIs(secret, answer)
+    v_event = QueryAnswerIs(view, given)
+    probability = fast.probability(s_event)
+    assert type(probability) is Fraction
+    assert probability == naive.probability(s_event)
+    assert fast.joint_probability([s_event, v_event]) == naive.joint_probability(
+        [s_event, v_event]
+    )
+    if naive.probability(v_event) != 0:
+        assert fast.conditional_probability(
+            s_event, v_event
+        ) == naive.conditional_probability(s_event, v_event)
+    else:
+        with pytest.raises(ProbabilityError):
+            fast.conditional_probability(s_event, v_event)
+    assert fast.are_independent(s_event, v_event) == naive.are_independent(
+        s_event, v_event
+    )
+    schema = dictionary.schema
+    return len(query_support(secret, schema) | query_support(view, schema))
+
+
 class TestRandomizedCrossValidation:
     def test_kernel_matches_seed_enumeration(self):
         rng = random.Random(20260727)
         for trial in range(6):
             schema, dictionary, pool = random_setup(rng)
-            fast = ExactEngine(dictionary)
-            naive = NaiveExactEngine(dictionary)
-            secret, view = rng.sample(pool, 2)
+            assert_kernel_matches_seed(rng, trial, dictionary, pool)
 
-            assert fast.answer_distribution(secret) == naive.answer_distribution(
-                secret
-            ), f"trial {trial}: answer distributions diverge"
-            assert fast.joint_answer_distribution(
-                [secret, view]
-            ) == naive.joint_answer_distribution([secret, view]), (
-                f"trial {trial}: joint distributions diverge"
-            )
-            assert set(fast.possible_answers(secret)) == set(
-                naive.possible_answers(secret)
-            ), f"trial {trial}: possible answers diverge"
+    def test_kernel_matches_seed_enumeration_on_larger_supports(self):
+        """Three-value domains, queries over ``R``: 9-fact supports.
 
-            answer = rng.choice(naive.possible_answers(secret))
-            given = rng.choice(naive.possible_answers(view))
-            s_event = QueryAnswerIs(secret, answer)
-            v_event = QueryAnswerIs(view, given)
-            assert fast.probability(s_event) == naive.probability(s_event)
-            assert fast.joint_probability([s_event, v_event]) == naive.joint_probability(
-                [s_event, v_event]
+        Tuple probabilities mix 0, 1, small fractions and ``k/1009``, so
+        the integer mass tables carry large, mutually coprime
+        denominators and zero-mass sub-instances.
+        """
+        rng = random.Random(1009)
+        three_value_pools = [pool for pool in DOMAIN_POOLS if len(pool) == 3]
+        sizes = []
+        for trial in range(5):
+            schema, dictionary, pool = random_setup(
+                rng, domain_pools=three_value_pools, prime_share=0.5
             )
-            if naive.probability(v_event) != 0:
-                assert fast.conditional_probability(
-                    s_event, v_event
-                ) == naive.conditional_probability(s_event, v_event)
-            else:
-                with pytest.raises(ProbabilityError):
-                    fast.conditional_probability(s_event, v_event)
-            assert fast.are_independent(s_event, v_event) == naive.are_independent(
-                s_event, v_event
-            )
+            # Queries over R alone keep the seed enumeration at 2^9
+            # sub-instances; T would add 3 facts and 8x its cost.
+            pool = [query for query in pool if set(query.relation_names) == {"R"}]
+            sizes.append(assert_kernel_matches_seed(rng, trial, dictionary, pool))
+        assert max(sizes) >= 6, f"supports {sizes} never reached 6 facts"
 
     def test_verdicts_and_gaps_match_seed_enumeration(self):
         rng = random.Random(42)
@@ -188,6 +239,67 @@ class TestRandomizedCrossValidation:
                     facts[j] for j in range(len(facts)) if mask >> j & 1
                 )
                 assert table[mask] == evaluate_boolean(query, subset)
+
+
+class TestIntegerMassTable:
+    """``MassTable.mass`` against the direct Eq. (1) sum, as Fractions."""
+
+    SCHEMA = Schema([RelationSchema("R", ("x", "y"))], domain=Domain.of(*"abcd"))
+
+    @staticmethod
+    def direct_mass(probabilities, bits):
+        """``Σ_{mask ∈ bits} ∏ p_i^{b_i} (1 − p_i)^{1 − b_i}``."""
+        total = Fraction(0)
+        for mask in range(1 << len(probabilities)):
+            if not bits >> mask & 1:
+                continue
+            product = Fraction(1)
+            for i, p in enumerate(probabilities):
+                product *= p if mask >> i & 1 else 1 - p
+            total += product
+        return total
+
+    def random_table(self, rng, size):
+        from repro.relational.tuples import tuple_space
+
+        facts = rng.sample(tuple_space(self.SCHEMA), size)
+        pool = [Fraction(0), Fraction(1), Fraction(1, 7), Fraction(1, 2)]
+        overrides = {
+            fact: rng.choice(pool) if rng.random() < 0.5 else coprime_probability(rng)
+            for fact in facts
+        }
+        dictionary = Dictionary(self.SCHEMA, overrides)
+        return MassTable(dictionary, facts), [overrides[fact] for fact in facts]
+
+    def test_mass_matches_the_direct_eq1_sum(self):
+        rng = random.Random(1009)
+        # Below 6 facts (low half < 8 masks) mass() takes the shift path,
+        # from 6 facts up the byte-aligned chunk path.
+        for size in range(13):
+            for _ in range(2):
+                table, probabilities = self.random_table(rng, size)
+                for _ in range(3):
+                    bits = rng.getrandbits(1 << size)
+                    mass = table.mass(bits)
+                    assert type(mass) is Fraction
+                    assert mass == self.direct_mass(probabilities, bits), (
+                        f"{size} facts, p={probabilities}, bits={bits:#x}"
+                    )
+
+    def test_empty_bits_have_fraction_zero_mass(self):
+        rng = random.Random(7)
+        for size in (0, 3, 6, 12):
+            table, _ = self.random_table(rng, size)
+            mass = table.mass(0)
+            assert type(mass) is Fraction and mass == Fraction(0)
+
+    def test_universe_has_mass_one(self):
+        rng = random.Random(11)
+        for size in range(13):
+            table, _ = self.random_table(rng, size)
+            mass = table.mass(universe_mask(size))
+            assert type(mass) is Fraction and mass == 1
+
 
 
 class TestMixedTypeDomains:
@@ -303,17 +415,6 @@ class TestKernelSharingAndModes:
         enumerations = kernel.stats["distributions"]
         independence_gap(secret, [view], self.dictionary)
         assert kernel.stats["distributions"] == enumerations  # pure cache hit
-
-    def test_float_mode_approximates_exact_mode(self):
-        exact = ExactEngine(self.dictionary)
-        fast = ExactEngine(self.dictionary, exact=False)
-        query = q("Q(x) :- R(x, y)")
-        exact_distribution = exact.answer_distribution(query)
-        float_distribution = fast.answer_distribution(query)
-        assert set(exact_distribution) == set(float_distribution)
-        for answer, probability in float_distribution.items():
-            assert isinstance(probability, float)
-            assert abs(probability - float(exact_distribution[answer])) < 1e-12
 
     def test_shared_registry_is_dropped_with_the_dictionary(self):
         import gc

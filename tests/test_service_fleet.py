@@ -29,6 +29,7 @@ import time
 
 import pytest
 
+from repro import faults
 from repro.bench import employee_schema
 from repro.exceptions import ReproError
 from repro.io import schema_to_dict
@@ -52,8 +53,8 @@ SCHEMA = _schema_doc()
 SECRET = "S(n, p) :- Emp(n, d, p)"
 VIEWS = {"bob": "V(n, d) :- Emp(n, d, p)"}
 
-#: A larger schema whose ``leakage`` takes a few hundred ms — slow
-#: enough to be reliably in flight when the test kills or drains.
+#: A larger schema for the ``leakage`` requests the lifecycle tests hold
+#: in flight (see :func:`_hold_leakage`).
 SLOW_SCHEMA = _schema_doc(names=3)
 SLOW_SECRETS = [
     "S(p) :- Emp(n0, d, p)",
@@ -80,6 +81,36 @@ def _slow_request(secret: str) -> dict:
     }
 
 
+def _hold_leakage(monkeypatch, seconds: float) -> None:
+    """Delay every ``leakage`` computation in the fleet by ``seconds``.
+
+    The rule sits at the ``server.execute`` fault point and travels in
+    ``REPRO_FAULT_PLAN``, which forked (and re-forked) workers install on
+    boot.  It gives the slow requests a fixed in-flight window, however
+    fast the computation itself is.
+    """
+    rule = {
+        "point": "server.execute",
+        "action": "delay",
+        "op": "leakage",
+        "delay": seconds,
+        "count": None,
+    }
+    monkeypatch.setenv(
+        faults.FAULT_PLAN_ENV, json.dumps({"seed": 0, "faults": [rule]})
+    )
+
+
+def _wait_in_flight(fleet: FleetThread, shards, count: int, timeout: float = 30.0):
+    """Wait until the router has ``count`` requests out on ``shards``."""
+    deadline = time.time() + timeout
+    while time.time() < deadline:
+        if sum(fleet.fleet._shards[s].outstanding for s in shards) >= count:
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"{count} requests never reached shards {shards}")
+
+
 def _wait_restart(fleet: FleetThread, shard: int, old_pid: int, timeout: float = 30.0):
     deadline = time.time() + timeout
     while time.time() < deadline:
@@ -94,6 +125,13 @@ def _assert_reaped(pids):
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_plan():
+    """The router runs in this process and installs the env plan here too."""
+    yield
+    faults.uninstall()
 
 
 @pytest.fixture(scope="module")
@@ -236,7 +274,8 @@ class TestFleetStats:
 
 
 class TestFleetLifecycle:
-    def test_drain_then_stop_answers_in_flight_requests(self):
+    def test_drain_then_stop_answers_in_flight_requests(self, monkeypatch):
+        _hold_leakage(monkeypatch, 1.0)
         fleet = FleetThread(workers=2, worker_threads=2).start()
         try:
             documents = [_slow_request(secret) for secret in SLOW_SECRETS[:4]]
@@ -266,7 +305,8 @@ class TestFleetLifecycle:
             ]
             for thread in threads:
                 thread.start()
-            time.sleep(0.15)  # the slow leakages are now in flight
+            _wait_in_flight(fleet, shards, 4)
+            time.sleep(0.15)  # the slow leakages are now held in their delay
             fleet.stop()
             for thread in threads:
                 thread.join(timeout=120)
@@ -277,7 +317,10 @@ class TestFleetLifecycle:
         finally:
             fleet.stop()
 
-    def test_worker_crash_fails_in_flight_and_restart_reserves_fingerprint(self):
+    def test_worker_crash_fails_in_flight_and_restart_reserves_fingerprint(
+        self, monkeypatch
+    ):
+        _hold_leakage(monkeypatch, 1.5)
         fleet = FleetThread(
             workers=2, worker_threads=2, result_cache_size=0, rewarm_requests=0
         ).start()
@@ -298,7 +341,8 @@ class TestFleetLifecycle:
 
             thread = threading.Thread(target=one)
             thread.start()
-            time.sleep(0.12)  # the leakage is in flight on the victim worker
+            _wait_in_flight(fleet, [shard], 1)
+            time.sleep(0.12)  # the leakage is held in its delay on the victim
             os.kill(victim, signal.SIGKILL)
             thread.join(timeout=60)
             response = holder["response"]
@@ -326,7 +370,8 @@ class TestFleetLifecycle:
         finally:
             fleet.stop()
 
-    def test_saturated_shards_shed_with_structured_errors(self):
+    def test_saturated_shards_shed_with_structured_errors(self, monkeypatch):
+        _hold_leakage(monkeypatch, 0.5)
         fleet = FleetThread(
             workers=2,
             worker_threads=1,
