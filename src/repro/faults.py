@@ -1,7 +1,7 @@
 """Deterministic fault injection for the audit service stack.
 
-Production resilience features (deadlines, retries, stale-claim
-recovery, circuit breakers) are only trustworthy if the failures they
+Production resilience features (deadlines, retries, crash-safe
+coalescing, circuit breakers) are only trustworthy if the failures they
 guard against can be reproduced on demand.  This module provides a
 seeded, declarative :class:`FaultPlan` that the server, fleet router,
 and storage layer consult at **named fault points**:

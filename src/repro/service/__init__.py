@@ -9,6 +9,9 @@ deployments front their engines with a query interface:
 
 * :mod:`repro.service.protocol` — the wire format: one JSON document per
   line, typed request/response envelopes, structured error codes;
+* :mod:`repro.service.frontend` — what the daemon and the fleet router
+  share: the connection loop, request-line decoding, the trace root,
+  deadline helpers and the runners;
 * :mod:`repro.service.server` — the asyncio daemon: one shared
   :class:`~repro.session.AnalysisSession` per (schema, dictionary,
   engine, criticality-engine) fingerprint, coalescing of identical
@@ -19,9 +22,9 @@ deployments front their engines with a query interface:
   snapshot form so a fleet can aggregate per-worker metrics;
 * :mod:`repro.service.fleet` — the pre-forked multi-process fleet: a
   router that shards requests over worker processes by rendezvous
-  hashing of the request fingerprint, with fleet-wide coalescing
-  (:mod:`repro.service.coalesce`), worker supervision and aggregated
-  stats.  ``repro-audit serve --workers N`` (N ≥ 2) boots this instead
+  hashing of the request fingerprint, with fleet-wide coalescing in
+  the router (:mod:`repro.service.coalesce`), worker supervision and
+  aggregated stats.  ``repro-audit serve --workers N`` (N ≥ 2) boots this instead
   of the single-process daemon;
 * :mod:`repro.service.health` — the per-shard circuit breaker behind
   the fleet's graceful-degradation ladder (healthy → degraded →
@@ -32,10 +35,9 @@ deployments front their engines with a query interface:
 Resilience: requests may carry a ``deadline_ms`` budget (expiry is a
 structured ``deadline-exceeded`` error and overrunning computations are
 abandoned, not leaked), both clients take a :class:`RetryPolicy`
-(seeded decorrelated-jitter backoff over retryable errors), and the
-fleet's shared coalescer rows are owner-liveness-checked and
-boot-namespaced so crashes and restarts never wedge followers or serve
-stale verdicts.
+(seeded decorrelated-jitter backoff over retryable errors), and a
+crashed or timed-out computation still resolves every request that
+followed it, with a structured error that caches nothing.
 
 Quick start::
 

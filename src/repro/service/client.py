@@ -22,7 +22,7 @@ errors the server marks safe to retry (``overloaded``,
 ``worker-crashed``), with decorrelated-jitter exponential backoff under
 a total backoff budget.  Retrying is idempotent by construction: a
 retried request re-sends the identical document, so the fleet's
-request-fingerprint dedup (coalescer + result caches) answers repeats
+request-fingerprint dedup (router and worker caches) answers repeats
 without recomputing.  ``deadline-exceeded`` is *not* retried — the
 caller's budget is spent.
 """

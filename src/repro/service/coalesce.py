@@ -1,329 +1,129 @@
-"""The fleet-wide pending-request table (sqlite, WAL).
+"""The fleet router's request deduplication table (in memory).
 
-One row per request fingerprint, shared by every process that can reach
-the table file, so a burst of N identical requests costs one computation
-*across the whole fleet* no matter which connections they arrive on:
+Every client request of a fleet passes through its one router, so a
+table in the router's event loop is enough to make a burst of N
+identical requests cost one computation *fleet-wide*, whatever
+connections they arrive on:
 
 * the first arrival :meth:`~FleetCoalescer.claim`\\ s the fingerprint and
   owns the computation;
-* concurrent twins see the ``pending`` row and subscribe to the owner's
-  result (in-process via a future, cross-process by polling the row);
-* once the owner :meth:`~FleetCoalescer.publish`\\ es, the row carries the
-  response and doubles as the fleet's shared result cache (bounded,
-  oldest-first eviction);
-* a failed or shed computation is :meth:`~FleetCoalescer.abandon`\\ ed so
-  the next identical request recomputes instead of inheriting the error.
+* concurrent twins get the owner's future from the same call and await
+  it;
+* the owner :meth:`~FleetCoalescer.publish`\\ es its response core:
+  every follower resolves, and an ok core lands in a bounded LRU of
+  answers (a failed core is not cached, so the next identical request
+  recomputes instead of inheriting the error);
+* :meth:`~FleetCoalescer.forget` drops a fingerprint outright, cached
+  answer *and* pending claim: a claim forgotten mid-computation still
+  resolves its followers but caches nothing.  This is how ``live-audit``
+  answers are invalidated by an ``apply-delta`` on their session.
 
-Crash safety
-------------
-A claim is only useful while its owner is alive to publish.  Each row
-records the owner pid, and :meth:`~FleetCoalescer.claim` reclaims a
-pending row when the owner process no longer exists (``os.kill(pid, 0)``)
-or the claim has outlived ``claim_ttl`` seconds — so a SIGKILLed router
-never wedges followers until their drain timeout.  Rows are additionally
-namespaced by a *boot id* chosen by the fleet at start-up: a restarted
-fleet pointed at the same table file starts from a clean namespace and
-can never serve a stale cached verdict published by a previous process
-generation (stale rows from dead boots are purged on start).
-
-The table is deliberately stdlib-only (``sqlite3`` in WAL mode with
-``synchronous=OFF`` — it is an ephemeral coordination structure, not
-durable state) and keyed by the hex digest of
-:func:`repro.service.protocol.request_key`, never by raw payloads.
+Cores are stored as the dicts the router builds, and shared between
+every response served from them: never mutate one.  The table is keyed
+by the hex digest of :func:`repro.service.protocol.request_key`.  It
+lives on the router's loop thread and takes no lock.
 """
 
 from __future__ import annotations
 
-import os
-import sqlite3
-import threading
-import time
-from typing import Any, Dict, Optional
+import asyncio
+from collections import OrderedDict
+from typing import Any, Dict, Optional, Tuple
 
 from ..exceptions import ReproError
 
-__all__ = ["FleetCoalescer", "PENDING", "DONE", "DEFAULT_CLAIM_TTL"]
+__all__ = ["FleetCoalescer", "DEFAULT_CACHE_SIZE"]
 
-#: ``state`` values of one row.
-PENDING = 0
-DONE = 1
-
-#: Default bound on completed results kept in the table.
+#: Default bound on cached completed answers.
 DEFAULT_CACHE_SIZE = 1024
 
-#: Default age after which a pending claim may be reclaimed even if its
-#: owner pid still exists (a wedged owner; generous next to any sane
-#: request deadline).
-DEFAULT_CLAIM_TTL = 120.0
-
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS fleet_requests (
-    boot        TEXT NOT NULL,
-    fingerprint TEXT NOT NULL,
-    state       INTEGER NOT NULL,
-    owner       INTEGER NOT NULL,
-    created     REAL NOT NULL,
-    result      TEXT,
-    PRIMARY KEY (boot, fingerprint)
-) WITHOUT ROWID;
-"""
-
-
-def _pid_alive(pid: int) -> bool:
-    """Best-effort liveness probe (signal 0; EPERM counts as alive)."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    except OSError:
-        return True
-    return True
+Core = Dict[str, Any]
 
 
 class FleetCoalescer:
-    """The shared pending/result table, one connection per process.
+    """In-flight claims plus an LRU of completed response cores."""
 
-    Thread-safe (one lock around the connection); every operation is a
-    single small transaction, so routers and supervisors on different
-    processes can share one table file.
-
-    ``boot`` namespaces this fleet generation's rows (see the module
-    docstring); ``claim_ttl`` bounds how long a pending claim is
-    honoured before followers may steal it (``0`` disables the age
-    check; owner-death reclamation always applies).
-    """
-
-    def __init__(
-        self,
-        path: str,
-        *,
-        owner: int,
-        boot: str = "",
-        cache_size: int = DEFAULT_CACHE_SIZE,
-        claim_ttl: float = DEFAULT_CLAIM_TTL,
-    ):
+    def __init__(self, cache_size: int = DEFAULT_CACHE_SIZE):
         if cache_size < 0:
             raise ReproError("the coalescer cache size cannot be negative")
-        if claim_ttl < 0:
-            raise ReproError("the coalescer claim TTL cannot be negative")
-        self._path = path
-        self._owner = owner
-        self._boot = boot
         self._cache_size = cache_size
-        self._claim_ttl = claim_ttl
-        self._lock = threading.Lock()
-        self._connection = sqlite3.connect(
-            path, timeout=5.0, isolation_level=None, check_same_thread=False
-        )
-        self._connection.execute("PRAGMA journal_mode=WAL")
-        self._connection.execute("PRAGMA synchronous=OFF")
-        self._connection.execute(_SCHEMA)
-        # The pre-boot-id table, if this path was written by an older
-        # build: coordination rows are ephemeral, drop them outright.
-        self._connection.execute("DROP TABLE IF EXISTS pending_requests")
-        self._purge_dead_boots()
+        self._pending: Dict[str, "asyncio.Future[Core]"] = {}
+        self._results: "OrderedDict[str, Core]" = OrderedDict()
         self._claims = 0
         self._coalesced = 0
         self._cache_hits = 0
         self._published = 0
-        self._abandoned = 0
-        self._reclaimed = 0
+        self._failed = 0
         self._forgotten = 0
 
-    def _purge_dead_boots(self) -> None:
-        """Drop rows left by process generations that no longer run.
+    def claim(self, fingerprint: str) -> Tuple[bool, "asyncio.Future[Core]"]:
+        """Own the computation of one fingerprint, or follow its owner.
 
-        A row belongs to a dead generation when its boot id differs from
-        ours and its owner pid is gone.  Live foreign boots (two fleets
-        deliberately sharing one table file) are left untouched.
+        Returns ``(True, future)`` when the caller became the owner: it
+        must later :meth:`publish` that future.  Returns ``(False,
+        future)`` when another caller owns it: await the future for the
+        owner's core.
         """
-        owners = [
-            row[0]
-            for row in self._connection.execute(
-                "SELECT DISTINCT owner FROM fleet_requests WHERE boot != ?",
-                (self._boot,),
-            )
-        ]
-        dead = [pid for pid in owners if not _pid_alive(pid)]
-        for pid in dead:
-            self._connection.execute(
-                "DELETE FROM fleet_requests WHERE boot != ? AND owner = ?",
-                (self._boot, pid),
-            )
-
-    # -- the request path --------------------------------------------------------
-    def claim(self, fingerprint: str) -> Optional[str]:
-        """Try to own the computation of one fingerprint.
-
-        Returns ``None`` when this caller became the owner (it must later
-        :meth:`publish` or :meth:`abandon`), the cached result text when
-        the fingerprint is already answered, and ``""`` when another
-        owner is still computing (subscribe and wait).
-
-        A pending row whose owner is dead, or older than the claim TTL,
-        is *reclaimed*: the caller becomes the new owner (return
-        ``None``) instead of subscribing to a result that will never be
-        published.
-        """
-        now = time.time()
-        with self._lock:
-            cursor = self._connection.execute(
-                "INSERT INTO fleet_requests (boot, fingerprint, state, owner, created) "
-                "VALUES (?, ?, ?, ?, ?) "
-                "ON CONFLICT (boot, fingerprint) DO NOTHING",
-                (self._boot, fingerprint, PENDING, self._owner, now),
-            )
-            if cursor.rowcount:
-                self._claims += 1
-                return None
-            row = self._connection.execute(
-                "SELECT state, owner, created, result FROM fleet_requests "
-                "WHERE boot = ? AND fingerprint = ?",
-                (self._boot, fingerprint),
-            ).fetchone()
-            if row is None:  # the owner abandoned between our two statements
-                self._claims += 1
-                self._connection.execute(
-                    "INSERT OR REPLACE INTO fleet_requests "
-                    "(boot, fingerprint, state, owner, created) VALUES (?, ?, ?, ?, ?)",
-                    (self._boot, fingerprint, PENDING, self._owner, now),
-                )
-                return None
-            state, row_owner, created, result = row
-            if state == DONE and result is not None:
-                self._cache_hits += 1
-                return result
-            stale = (
-                row_owner != self._owner and not _pid_alive(row_owner)
-            ) or (self._claim_ttl and now - created > self._claim_ttl)
-            if stale:
-                # Guarded update: only steal the exact row we inspected,
-                # so two concurrent reclaimers cannot both win.
-                cursor = self._connection.execute(
-                    "UPDATE fleet_requests SET owner = ?, created = ? "
-                    "WHERE boot = ? AND fingerprint = ? AND state = ? AND owner = ?",
-                    (self._owner, now, self._boot, fingerprint, PENDING, row_owner),
-                )
-                if cursor.rowcount:
-                    self._claims += 1
-                    self._reclaimed += 1
-                    return None
+        pending = self._pending.get(fingerprint)
+        if pending is not None:
             self._coalesced += 1
-            return ""
+            return False, pending
+        future: "asyncio.Future[Core]" = asyncio.get_running_loop().create_future()
+        self._pending[fingerprint] = future
+        self._claims += 1
+        return True, future
 
-    def publish(self, fingerprint: str, result: str) -> None:
-        """Record the owner's completed result (and prune the cache)."""
-        with self._lock:
-            self._connection.execute(
-                "UPDATE fleet_requests SET state = ?, result = ?, created = ? "
-                "WHERE boot = ? AND fingerprint = ?",
-                (DONE, result, time.time(), self._boot, fingerprint),
-            )
-            self._published += 1
-            if self._cache_size:
-                self._connection.execute(
-                    "DELETE FROM fleet_requests WHERE boot = ? AND state = ? "
-                    "AND fingerprint NOT IN "
-                    "(SELECT fingerprint FROM fleet_requests "
-                    " WHERE boot = ? AND state = ? "
-                    " ORDER BY created DESC LIMIT ?)",
-                    (self._boot, DONE, self._boot, DONE, self._cache_size),
-                )
-            else:
-                self._connection.execute(
-                    "DELETE FROM fleet_requests WHERE boot = ? AND fingerprint = ?",
-                    (self._boot, fingerprint),
-                )
+    def lookup(self, fingerprint: str) -> Optional[Core]:
+        """The cached core of a fingerprint, if any (refreshes its recency)."""
+        core = self._results.get(fingerprint)
+        if core is not None:
+            self._results.move_to_end(fingerprint)
+            self._cache_hits += 1
+        return core
 
-    def abandon(self, fingerprint: str) -> None:
-        """Drop a pending claim (failed/shed/crashed computation)."""
-        with self._lock:
-            self._connection.execute(
-                "DELETE FROM fleet_requests WHERE boot = ? AND fingerprint = ?",
-                (self._boot, fingerprint),
-            )
-            self._abandoned += 1
+    def publish(self, fingerprint: str, claim: "asyncio.Future[Core]", core: Core) -> None:
+        """Resolve an owned claim with its core.
 
-    def lookup(self, fingerprint: str) -> Optional[str]:
-        """The published result for a fingerprint, if any (no counters)."""
-        with self._lock:
-            row = self._connection.execute(
-                "SELECT result FROM fleet_requests "
-                "WHERE boot = ? AND fingerprint = ? AND state = ?",
-                (self._boot, fingerprint, DONE),
-            ).fetchone()
-        return row[0] if row is not None else None
+        Followers always resolve.  The core is cached only when it is ok
+        and ``claim`` is still the fingerprint's current claim, i.e. no
+        :meth:`forget` landed while it was computed.
+        """
+        if not claim.done():
+            claim.set_result(core)
+        if self._pending.get(fingerprint) is not claim:
+            return
+        del self._pending[fingerprint]
+        if not core.get("ok"):
+            self._failed += 1
+            return
+        self._published += 1
+        if self._cache_size:
+            self._results[fingerprint] = core
+            self._results.move_to_end(fingerprint)
+            while len(self._results) > self._cache_size:
+                self._results.popitem(last=False)
 
     def forget(self, fingerprint: str) -> int:
-        """Remove a fingerprint outright (cache invalidation).
+        """Drop a fingerprint's cached core and pending claim.
 
-        This is how the fleet router drops ``live-audit`` answers made
-        stale by an ``apply-delta`` on their live session: the cached
-        verdict describes a database that no longer exists, so the row
-        is deleted fleet-wide regardless of state.  Returns the number
-        of rows removed (0 or 1).
+        Returns the number of entries removed (0, 1 or 2).
         """
-        with self._lock:
-            cursor = self._connection.execute(
-                "DELETE FROM fleet_requests WHERE boot = ? AND fingerprint = ?",
-                (self._boot, fingerprint),
-            )
-            self._forgotten += cursor.rowcount
-            return cursor.rowcount
+        removed = (self._results.pop(fingerprint, None) is not None) + (
+            self._pending.pop(fingerprint, None) is not None
+        )
+        self._forgotten += removed
+        return removed
 
-    def release_owner(self, owner: int) -> int:
-        """Abandon every pending claim of one owner (crash cleanup)."""
-        with self._lock:
-            cursor = self._connection.execute(
-                "DELETE FROM fleet_requests WHERE boot = ? AND state = ? AND owner = ?",
-                (self._boot, PENDING, owner),
-            )
-            self._abandoned += cursor.rowcount
-            return cursor.rowcount
-
-    # -- bookkeeping -------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """Counters plus the live table shape, as plain JSON."""
-        with self._lock:
-            pending, done = 0, 0
-            for state, count in self._connection.execute(
-                "SELECT state, COUNT(*) FROM fleet_requests WHERE boot = ? "
-                "GROUP BY state",
-                (self._boot,),
-            ):
-                if state == PENDING:
-                    pending = count
-                else:
-                    done = count
-            return {
-                "path": self._path,
-                "boot": self._boot,
-                "pending": pending,
-                "cached_results": done,
-                "cache_size": self._cache_size,
-                "claim_ttl": self._claim_ttl,
-                "claims": self._claims,
-                "coalesced": self._coalesced,
-                "cache_hits": self._cache_hits,
-                "published": self._published,
-                "abandoned": self._abandoned,
-                "reclaimed": self._reclaimed,
-                "forgotten": self._forgotten,
-            }
-
-    def close(self) -> None:
-        """Close the connection (safe to call twice)."""
-        with self._lock:
-            if self._connection is not None:
-                self._connection.close()
-                self._connection = None  # type: ignore[assignment]
-
-    def __enter__(self) -> "FleetCoalescer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        """Counters plus the table shape, as plain JSON."""
+        return {
+            "pending": len(self._pending),
+            "cached_results": len(self._results),
+            "cache_size": self._cache_size,
+            "claims": self._claims,
+            "coalesced": self._coalesced,
+            "cache_hits": self._cache_hits,
+            "published": self._published,
+            "failed": self._failed,
+            "forgotten": self._forgotten,
+        }

@@ -23,12 +23,12 @@ module scales the service with *cores* instead:
   dictionary, and session-only routing would pin them all to a single
   shard.)
 
-* **Fleet-wide coalescing**: a shared pending-request table
-  (:class:`~repro.service.coalesce.FleetCoalescer`, a small sqlite WAL
-  file keyed by the fingerprint) plus in-router subscription futures
-  guarantee that a burst of N identical requests arriving on different
-  connections costs exactly one computation across the whole fleet —
-  the other N−1 subscribe to the owner's result.
+* **Fleet-wide coalescing**: every request passes through the one
+  router, whose :class:`~repro.service.coalesce.FleetCoalescer` holds
+  the in-flight computations and a bounded cache of answers by
+  fingerprint — so a burst of N identical requests arriving on
+  different connections costs exactly one computation across the whole
+  fleet: the other N−1 follow the owner's future or hit the cache.
 
 * **Fleet load shedding**: the router tracks per-shard queue depth
   (in-flight + waiting-for-a-pooled-connection) and answers with a
@@ -46,7 +46,7 @@ module scales the service with *cores* instead:
   from every worker's mergeable metrics snapshot
   (:func:`~repro.service.metrics.merge_snapshots` — true percentiles
   over the union of latency reservoirs, not averages), per-shard queue
-  depths, restart counts and the coalescer table state.
+  depths, restart counts and the coalescer's counters.
 
 ``shutdown`` (or :meth:`FleetServer.stop`) drains: the listener closes,
 in-flight requests finish and are answered, then every worker is asked
@@ -67,44 +67,35 @@ import signal
 import tempfile
 import threading
 import time
-import uuid
 from collections import OrderedDict
-from typing import Any, Awaitable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..exceptions import ReproError
 from ..obs import (
     CONTENT_TYPE,
     TRACES,
     Span,
-    SlowLog,
     current_trace,
     merge_trace_snapshots,
     render_prometheus,
-    slow_log_from_env,
     span,
-    start_trace,
 )
-from ..obs import install_from_env as install_tracing_from_env
 from . import faults
-from .coalesce import DEFAULT_CLAIM_TTL, FleetCoalescer
+from .coalesce import FleetCoalescer
+from .frontend import STREAM, Frontend, LoopThread, await_within, link_leader, serve_forever
 from .health import CircuitBreaker
-from .metrics import ServiceMetrics, merge_snapshots
+from .metrics import merge_snapshots
 from .protocol import (
     DEFAULT_MAX_PAYLOAD,
     ERROR_DEADLINE_EXCEEDED,
     ERROR_INTERNAL,
     ERROR_OVERLOADED,
-    ERROR_PAYLOAD_TOO_LARGE,
     ERROR_WORKER_CRASHED,
-    OPERATIONS,
     PROTOCOL_VERSION,
     AuditRequest,
-    ProtocolError,
-    decode_message,
     encode_message,
     error_response,
     ok_response,
-    parse_request,
     request_key,
     routing_key,
 )
@@ -126,7 +117,7 @@ DEFAULT_WORKER_THREADS = 2
 #: Default number of recent distinct requests replayed to a restarted worker.
 DEFAULT_REWARM_REQUESTS = 8
 
-#: Default bound on fleet-wide cached results in the coalescer table.
+#: Default bound on the router's cached answers (and each worker's cache).
 DEFAULT_FLEET_RESULT_CACHE = 1024
 
 #: The request id used for router-originated traffic to workers.
@@ -229,7 +220,7 @@ class _Shard:
         self.diverted = 0
 
 
-class FleetServer:
+class FleetServer(Frontend):
     """The multi-worker audit service: router + pre-forked shard fleet.
 
     Parameters
@@ -249,18 +240,11 @@ class FleetServer:
         Pooled router→worker connections (each carries one request at a
         time, so this bounds per-worker concurrency).
     result_cache_size:
-        Bound on fleet-wide cached results (the coalescer table) *and*
-        each worker's own result cache.
+        Bound on the router's cached answers (its
+        :class:`~repro.service.coalesce.FleetCoalescer`) *and* each
+        worker's own result cache.
     rewarm_requests:
         Recent distinct requests replayed to a restarted worker.
-    coalesce_path:
-        Path of the shared coalescer table (default: a file in the
-        fleet's private temp directory).  Point two boots at one path
-        and the boot-id namespace keeps their rows apart; stale rows
-        from dead boots are purged on start.
-    claim_ttl:
-        Seconds before a pending coalescer claim may be stolen by a
-        follower (owner-death reclamation is immediate regardless).
     breaker_options:
         :class:`~repro.service.health.CircuitBreaker` keyword arguments
         applied to every shard (``degrade_after``, ``quarantine_after``,
@@ -277,6 +261,8 @@ class FleetServer:
         (e.g. ``max_sessions``, ``session_cache_size``).
     """
 
+    _name = "fleet"
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -289,8 +275,6 @@ class FleetServer:
         result_cache_size: int = DEFAULT_FLEET_RESULT_CACHE,
         max_payload: int = DEFAULT_MAX_PAYLOAD,
         rewarm_requests: int = DEFAULT_REWARM_REQUESTS,
-        coalesce_path: Optional[str] = None,
-        claim_ttl: float = DEFAULT_CLAIM_TTL,
         breaker_options: Optional[Mapping[str, Any]] = None,
         watchdog_seconds: Optional[float] = None,
         slow_ms: Optional[float] = None,
@@ -303,18 +287,13 @@ class FleetServer:
             raise ReproError("shard_queue_limit must be at least 1")
         if connections_per_worker < 1:
             raise ReproError("connections_per_worker must be at least 1")
-        self._host = host
-        self._port = port
+        super().__init__(host, port, max_payload=max_payload, slow_ms=slow_ms)
         self._workers = workers or DEFAULT_FLEET_WORKERS
         self._shard_queue_limit = shard_queue_limit
         self._connections_per_worker = connections_per_worker
         self._result_cache_size = max(0, result_cache_size)
-        self._max_payload = max_payload
         self._rewarm_requests = max(0, rewarm_requests)
-        self._coalesce_path = coalesce_path
-        self._claim_ttl = claim_ttl
         self._breaker_options = dict(breaker_options or {})
-        self._boot_id = ""
         self._diverted = 0
         self._stream_limit = max(4 * max_payload, 1 << 20)
         method = start_method or os.environ.get("REPRO_FLEET_START_METHOD")
@@ -335,25 +314,18 @@ class FleetServer:
             self._worker_options["slow_ms"] = slow_ms
         if worker_options:
             self._worker_options.update(worker_options)
-        self._slow_ms = slow_ms
-        self._slow_log: SlowLog = SlowLog(slow_ms)
 
-        self._metrics = ServiceMetrics()
         self._shards: List[_Shard] = []
-        self._subscribers: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
-        #: live name -> fleet-cached ``live-audit`` fingerprints; each is
-        #: ``forget``-ten from the coalescer when a delta hits the session.
+        self._coalescer = FleetCoalescer(self._result_cache_size)
+        #: live name -> ``live-audit`` fingerprints claimed on the session;
+        #: each is ``forget``-ten from the coalescer when a delta lands.
         self._live_cached: Dict[str, set] = {}
         self._live_relays = 0
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stop_event: Optional[asyncio.Event] = None
         self._stopping = False
         self._active = 0
         self._rewarmed = 0
         self._directory: Optional[str] = None
-        self._coalescer: Optional[FleetCoalescer] = None
         self._supervisors: List[asyncio.Task] = []
-        self._connection_tasks: "set[asyncio.Task]" = set()
         self._started_at = time.time()
 
     # -- lifecycle ---------------------------------------------------------------
@@ -363,20 +335,9 @@ class FleetServer:
             raise ReproError("the fleet is already running")
         if not hasattr(asyncio.get_running_loop(), "create_unix_connection"):
             raise ReproError("the worker fleet needs unix domain sockets")  # pragma: no cover
-        faults.install_from_env()
-        install_tracing_from_env()
-        self._slow_log = slow_log_from_env(self._slow_ms)
+        self._prepare()
         self._stopping = False
-        self._stop_event = asyncio.Event()
-        self._boot_id = uuid.uuid4().hex[:16]
         self._directory = tempfile.mkdtemp(prefix="repro-fleet-")
-        self._coalescer = FleetCoalescer(
-            self._coalesce_path or os.path.join(self._directory, "coalesce.db"),
-            owner=os.getpid(),
-            boot=self._boot_id,
-            cache_size=self._result_cache_size,
-            claim_ttl=self._claim_ttl,
-        )
         self._shards = [
             _Shard(
                 index,
@@ -388,24 +349,7 @@ class FleetServer:
         try:
             await asyncio.gather(*(self._spawn(shard) for shard in self._shards))
             await asyncio.gather(*(self._wait_ready(shard) for shard in self._shards))
-            try:
-                self._server = await asyncio.start_server(
-                    self._on_connection,
-                    self._host,
-                    self._port,
-                    limit=self._stream_limit,
-                )
-            except OSError as error:
-                import errno
-
-                if error.errno == errno.EADDRINUSE:
-                    raise ReproError(
-                        f"cannot bind {self._host}:{self._port}: address already in "
-                        "use (is another daemon running on this port?)"
-                    ) from error
-                raise ReproError(
-                    f"cannot bind {self._host}:{self._port}: {error.strerror or error}"
-                ) from error
+            await self._listen(self._stream_limit)
         except BaseException:
             await self._halt_workers()
             self._cleanup()
@@ -417,19 +361,6 @@ class FleetServer:
         return self.address
 
     @property
-    def address(self) -> Tuple[str, int]:
-        """The router's bound ``(host, port)``."""
-        if self._server is None or not self._server.sockets:
-            raise ReproError("the fleet is not running")
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return host, port
-
-    @property
-    def metrics(self) -> ServiceMetrics:
-        """The router-level metrics (shed / coalesced / cached / errors)."""
-        return self._metrics
-
-    @property
     def worker_pids(self) -> List[int]:
         """Live worker process ids, by shard index."""
         return [
@@ -437,41 +368,27 @@ class FleetServer:
             for shard in self._shards
         ]
 
-    async def serve_until_stopped(self) -> None:
-        """Block until a ``shutdown`` request (or :meth:`stop`) arrives."""
-        if self._stop_event is None:
-            raise ReproError("call start() first")
-        await self._stop_event.wait()
-        await self.stop()
-
     async def stop(self, drain_timeout: float = 60.0) -> None:
         """Drain-then-stop: finish in-flight work, then stop the fleet."""
         if self._stopping and self._server is None:
             return
         self._stopping = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self._stop_listening()
         # Drain: every request already accepted is answered first.
         loop = asyncio.get_running_loop()
         deadline = loop.time() + drain_timeout
         while self._active and loop.time() < deadline:
             await asyncio.sleep(0.01)
-        await asyncio.sleep(0.05)  # let just-resolved subscribers flush
+        await asyncio.sleep(0.05)  # let just-resolved followers flush
         for task in self._supervisors:
             task.cancel()
         if self._supervisors:
             await asyncio.gather(*self._supervisors, return_exceptions=True)
         self._supervisors = []
         await self._halt_workers()
-        for task in list(self._connection_tasks):
-            task.cancel()
-        if self._connection_tasks:
-            await asyncio.gather(*self._connection_tasks, return_exceptions=True)
+        await self._close_connections()
         self._cleanup()
-        if self._stop_event is not None:
-            self._stop_event.set()
+        self.request_stop()
 
     async def _halt_workers(self) -> None:
         """Ask every worker to shut down; escalate to terminate/kill."""
@@ -505,9 +422,6 @@ class FleetServer:
     def _cleanup(self) -> None:
         for shard in self._shards:
             self._drain_pool(shard)
-        if self._coalescer is not None:
-            self._coalescer.close()
-            self._coalescer = None
         if self._directory is not None:
             shutil.rmtree(self._directory, ignore_errors=True)
             self._directory = None
@@ -722,85 +636,23 @@ class FleetServer:
         return primary
 
     # -- the client-facing protocol ----------------------------------------------
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connection_tasks.add(task)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    self._metrics.observe("unknown", "error")
-                    writer.write(
-                        encode_message(
-                            error_response(
-                                None,
-                                ERROR_PAYLOAD_TOO_LARGE,
-                                "request line exceeded the stream buffer; "
-                                "connection closed",
-                            )
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                response = await self._handle_line(line)
-                dropped = False
-                for rule in faults.fire("server.respond", op=response.get("op")):
-                    if rule.action == "drop":
-                        dropped = True
-                    elif rule.action == "delay":
-                        await asyncio.sleep(rule.delay)
-                if dropped:
-                    # Simulate a connection lost mid-response: close
-                    # without answering (the client sees EOF and retries).
-                    break
-                relay = response.pop("_subscribe_relay", None)
-                writer.write(encode_message(response))
-                await writer.drain()
-                if relay is not None:
-                    # The connection is now a notification stream relayed
-                    # from the owning worker (dedicated, non-pooled).
-                    await self._relay_stream(relay, reader, writer)
-                    break
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
-            pass
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if task is not None:
-                self._connection_tasks.discard(task)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
     async def _handle_line(self, line: bytes) -> Dict[str, Any]:
-        request_id = None
-        op = "unknown"
-        try:
-            document = decode_message(line, self._max_payload)
-            if isinstance(document, Mapping):
-                candidate = document.get("id")
-                if isinstance(candidate, (str, int, float)):
-                    request_id = candidate
-                named = document.get("op")
-                if isinstance(named, str) and named in OPERATIONS:
-                    op = named
-            request = parse_request(document)
-        except ProtocolError as error:
-            self._metrics.observe(op, "error")
-            return error_response(request_id, error.code, str(error))
+        request = self._decode_line(line)
+        if not isinstance(request, AuditRequest):
+            return request
         if request.is_control:
             return await self._handle_control(request)
         self._active += 1
         try:
-            if request.is_live:
+            if request.is_live and request.op != "live-audit":
                 return await self._handle_live(request, line)
-            return await self._handle_analysis(request, line)
+            # The router owns the distributed trace: its root covers
+            # deduplication, routing and the forward; the worker's own
+            # span tree (returned inline in the worker response) is
+            # grafted under the ``router.forward`` span.
+            return await self._with_trace(
+                "router.route", request, self._handle_analysis_core(request, line)
+            )
         finally:
             self._active -= 1
 
@@ -824,145 +676,75 @@ class FleetServer:
             return await self._fleet_metrics(request)
         # shutdown: acknowledge, then drain-then-stop via serve_until_stopped.
         self._metrics.observe("shutdown", "computed")
-        if self._stop_event is not None:
-            self._stop_event.set()
+        self.request_stop()
         return ok_response(
             request.id, "shutdown", {"stopping": True, "workers": len(self._shards)}
         )
 
-    @staticmethod
-    async def _await_within(
-        awaitable: Awaitable[Any], deadline: Optional[float]
-    ) -> Any:
-        """Await (shielded) until ``deadline`` (perf_counter clock)."""
-        if deadline is None:
-            return await asyncio.shield(awaitable)
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            raise asyncio.TimeoutError
-        return await asyncio.wait_for(asyncio.shield(awaitable), timeout=remaining)
-
-    def _deadline_error(
-        self, request: AuditRequest, started: float, where: str
-    ) -> Dict[str, Any]:
-        elapsed = time.perf_counter() - started
-        self._metrics.observe(request.op, "deadline", elapsed)
+    def _shed(self, request: AuditRequest, shard: _Shard) -> Dict[str, Any]:
+        """The ``overloaded`` answer for a request whose shard is saturated."""
+        fleet_saturated = all(
+            other.outstanding >= self._shard_queue_limit for other in self._shards
+        )
+        shard.shed += 1
+        self._metrics.observe(request.op, "shed")
+        scope = "all shards are" if fleet_saturated else f"shard {shard.index} is"
         return error_response(
             request.id,
-            ERROR_DEADLINE_EXCEEDED,
-            f"deadline of {request.deadline_ms:g}ms exceeded {where}",
+            ERROR_OVERLOADED,
+            f"{scope} saturated ({shard.outstanding} in flight, "
+            f"limit {self._shard_queue_limit}); retry later",
         )
-
-    async def _handle_analysis(
-        self, request: AuditRequest, raw: bytes
-    ) -> Dict[str, Any]:
-        if not request.trace:
-            return await self._handle_analysis_core(request, raw)
-        # The router owns the distributed trace: its root covers routing,
-        # coalescer negotiation and the forward; the worker's own span
-        # tree (returned inline in the worker response) is grafted under
-        # the ``router.forward`` span before the tree goes back out.
-        spec = request.trace
-        trace_id = spec.get("id")
-        parent_id = spec.get("parent")
-        with start_trace(
-            "router.route",
-            trace_id=trace_id if isinstance(trace_id, str) else None,
-            parent_id=parent_id if isinstance(parent_id, str) else None,
-        ) as trace:
-            trace.root.set("op", request.op)
-            response = await self._handle_analysis_core(request, raw)
-        document = trace.to_dict()
-        TRACES.record(document)
-        self._slow_log.maybe_log(document, op=request.op)
-        server = response.get("server")
-        if isinstance(server, dict):
-            server["trace"] = document
-        return response
 
     async def _handle_analysis_core(
         self, request: AuditRequest, raw: bytes
     ) -> Dict[str, Any]:
+        """Answer an analysis or ``live-audit`` request.
+
+        From the router's cache, by following an identical computation
+        in flight, or by owning the computation on the request's shard.
+        """
         fingerprint = hashlib.sha256(request_key(request).encode("utf8")).hexdigest()
         started = time.perf_counter()
-        deadline = (
-            started + request.deadline_ms / 1000.0
-            if request.deadline_ms is not None
-            else None
-        )
+        deadline = self._deadline_of(request, started)
         coalescer = self._coalescer
-        assert coalescer is not None
 
-        # 1. Subscribe to an identical in-flight computation (same router).
-        waiter = self._subscribers.get(fingerprint)
-        if waiter is not None:
+        # 1. A cached answer, or an identical computation to follow.
+        cached = coalescer.lookup(fingerprint)
+        if cached is not None:
+            link_leader(cached, "fleet-cache")
+            elapsed = time.perf_counter() - started
+            self._metrics.observe(request.op, "cached", elapsed)
+            return self._respond(request, cached, elapsed, fleet="cached")
+        owner, claim = coalescer.claim(fingerprint)
+        if not owner:
             try:
                 with span("coalesce.follow"):
-                    core = await self._await_within(waiter, deadline)
+                    core = await await_within(claim, deadline)
             except asyncio.TimeoutError:
-                return self._deadline_error(
+                return self._deadline_expired(
                     request, started, "while awaiting a twin computation"
                 )
-            self._link_leader(core, "coalesced-leader")
+            link_leader(core, "coalesced-leader")
             elapsed = time.perf_counter() - started
             self._metrics.observe(request.op, "coalesced", elapsed)
             return self._respond(request, core, elapsed, fleet="coalesced")
+        route = fingerprint
+        if request.is_live:
+            # Registered at claim time, not when the answer returns: a
+            # delta landing mid-audit then forgets this very claim, so
+            # the pre-delta answer is never cached.
+            self._live_cached.setdefault(request.live or "", set()).add(fingerprint)
+            route = hashlib.sha256(routing_key(request).encode("utf8")).hexdigest()
 
-        # 2. Claim the fingerprint on the shared fleet table.
-        for _ in range(3):
-            if deadline is not None and time.perf_counter() >= deadline:
-                return self._deadline_error(
-                    request, started, "while negotiating the fleet coalescer"
-                )
-            with span("coalesce.claim"):
-                claimed = coalescer.claim(fingerprint)
-            if claimed is None:
-                break  # we own the computation
-            if claimed:
-                core = json.loads(claimed)
-                self._link_leader(core, "fleet-cache")
-                elapsed = time.perf_counter() - started
-                self._metrics.observe(request.op, "cached", elapsed)
-                return self._respond(request, core, elapsed, fleet="cached")
-            # Pending, but owned by a process without a local future (e.g.
-            # another router sharing the table, or an abandon race): wait
-            # for the row to resolve, then retry the claim.  A dead or
-            # over-TTL owner is reclaimed by claim() itself on the retry.
-            with span("coalesce.follow"):
-                core = await self._await_remote(
-                    coalescer, fingerprint, deadline=deadline
-                )
-            if core is not None:
-                self._link_leader(core, "coalesced-leader")
-                elapsed = time.perf_counter() - started
-                self._metrics.observe(request.op, "coalesced", elapsed)
-                return self._respond(request, core, elapsed, fleet="coalesced")
-        else:
-            claimed = None  # claim churn: compute without a table entry
-
-        # 2b. The budget may have been consumed waiting for the claim.
-        if deadline is not None and time.perf_counter() >= deadline:
-            coalescer.abandon(fingerprint)
-            return self._deadline_error(request, started, "in the router queue")
-
-        # 3. Route to the fingerprint's shard; shed when it is saturated.
-        shard = self._shard_for(fingerprint)
+        # 2. Route to the shard; shed when it is saturated.
+        shard = self._shard_for(route)
         if shard.outstanding >= self._shard_queue_limit:
-            fleet_saturated = all(
-                other.outstanding >= self._shard_queue_limit for other in self._shards
-            )
-            coalescer.abandon(fingerprint)
-            shard.shed += 1
-            self._metrics.observe(request.op, "shed")
-            scope = "all shards are" if fleet_saturated else f"shard {shard.index} is"
-            return error_response(
-                request.id,
-                ERROR_OVERLOADED,
-                f"{scope} saturated ({shard.outstanding} in flight, "
-                f"limit {self._shard_queue_limit}); retry later",
-            )
+            response = self._shed(request, shard)
+            coalescer.publish(fingerprint, claim, {"ok": False, "error": response["error"]})
+            return response
 
-        # 4. Own the computation; twins subscribe to this future.  With a
+        # 3. Own the computation; twins follow the claim.  With a
         # deadline, the forwarded copy carries only the *remaining*
         # budget (the worker enforces it), and the router adds a small
         # grace before abandoning the worker connection outright.
@@ -980,9 +762,7 @@ class FleetServer:
                 remaining_ms = max(1.0, (deadline - time.perf_counter()) * 1000.0)
                 document["deadline_ms"] = round(remaining_ms, 3)
             forward_raw = encode_message(document)
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Dict[str, Any]]" = loop.create_future()
-        self._subscribers[fingerprint] = future
+        core: Dict[str, Any] = {"ok": False}
         try:
             try:
                 for rule in faults.fire("router.forward", op=request.op):
@@ -1014,12 +794,7 @@ class FleetServer:
                     else:
                         response = await self._forward(shard, forward_raw)
                 shard.breaker.record_success()
-                core = {
-                    key: response[key]
-                    for key in ("ok", "op", "result", "error", "server")
-                    if key in response
-                }
-                core["shard"] = shard.index
+                core = self._core(response, shard)
                 worker_trace = None
                 server_doc = core.get("server")
                 if isinstance(server_doc, Mapping):
@@ -1055,7 +830,7 @@ class FleetServer:
                     "shard": shard.index,
                     "error": {
                         "code": ERROR_DEADLINE_EXCEEDED,
-                        "message": f"deadline of {request.deadline_ms:g}ms "
+                        "message": f"{self._budget_text(request)} "
                         f"exceeded awaiting worker {shard.index}",
                     },
                 }
@@ -1070,21 +845,17 @@ class FleetServer:
                     },
                 }
         finally:
-            self._subscribers.pop(fingerprint, None)
-            if not future.done():
-                future.set_result(core)
+            coalescer.publish(fingerprint, claim, core)
         elapsed = time.perf_counter() - started
         if core.get("ok"):
-            coalescer.publish(
-                fingerprint, json.dumps(core, separators=(",", ":"), default=str)
-            )
-            if self._rewarm_requests:
+            # A live session is not rebuilt by replays, so only analyses
+            # are remembered for rewarming.
+            if self._rewarm_requests and not request.is_live:
                 shard.warm[fingerprint] = warm_raw
                 shard.warm.move_to_end(fingerprint)
                 while len(shard.warm) > self._rewarm_requests:
                     shard.warm.popitem(last=False)
         else:
-            coalescer.abandon(fingerprint)
             code = (core.get("error") or {}).get("code")
             if code == ERROR_WORKER_CRASHED:
                 self._metrics.observe(request.op, "error", elapsed)
@@ -1094,112 +865,47 @@ class FleetServer:
 
     # -- live audit sessions ------------------------------------------------------
     async def _handle_live(self, request: AuditRequest, raw: bytes) -> Dict[str, Any]:
-        """Route one live operation to the shard owning its session.
+        """Route one live mutation or subscription to its session's shard.
 
         Every operation of one live session shares a routing
         fingerprint derived from the session *name*
         (:func:`~repro.service.protocol.routing_key`), so creates,
         deltas, audits and subscriptions all land on the worker holding
-        the warm incremental state.  Mutations bypass coalescing and
-        caching entirely; ``live-audit`` answers are published to the
-        fleet result table and **forgotten**
-        (:meth:`~repro.service.coalesce.FleetCoalescer.forget`) the
-        moment a delta lands on their session, so no router in the
-        fleet can serve a verdict for a database that no longer exists.
+        the warm incremental state.  Mutations bypass deduplication
+        entirely.  ``live-audit`` answers are deduplicated like
+        analyses (:meth:`_handle_analysis_core`); a landed
+        ``apply-delta`` **forgets** every claim and cached answer of
+        its session (:meth:`~repro.service.coalesce.FleetCoalescer.forget`),
+        so the router never serves a verdict for a database that no
+        longer exists.
         """
         started = time.perf_counter()
         name = request.live or ""
-        route_fp = hashlib.sha256(routing_key(request).encode("utf8")).hexdigest()
-        coalescer = self._coalescer
-        assert coalescer is not None
-
-        owns_claim = False
-        fingerprint: Optional[str] = None
-        if request.op == "live-audit":
-            fingerprint = hashlib.sha256(request_key(request).encode("utf8")).hexdigest()
-            with span("coalesce.claim"):
-                claimed = coalescer.claim(fingerprint)
-            if claimed:
-                core = json.loads(claimed)
-                self._link_leader(core, "fleet-cache")
-                elapsed = time.perf_counter() - started
-                self._metrics.observe(request.op, "cached", elapsed)
-                return self._respond(request, core, elapsed, fleet="cached")
-            # None → we own the row (publish/abandon below); "" → someone
-            # else is computing, but a snapshot is cheap and a delta may
-            # be racing the pending row — just compute our own copy.
-            owns_claim = claimed is None
-
-        shard = self._shard_for(route_fp)
+        shard = self._shard_for(hashlib.sha256(routing_key(request).encode("utf8")).hexdigest())
         if shard.outstanding >= self._shard_queue_limit:
-            if owns_claim and fingerprint is not None:
-                coalescer.abandon(fingerprint)
-            shard.shed += 1
-            self._metrics.observe(request.op, "shed")
-            return error_response(
-                request.id,
-                ERROR_OVERLOADED,
-                f"shard {shard.index} is saturated ({shard.outstanding} in flight, "
-                f"limit {self._shard_queue_limit}); retry later",
-            )
-
+            return self._shed(request, shard)
         if request.op == "subscribe":
             return await self._subscribe_upstream(shard, request, raw)
-
         try:
-            with span("router.forward") as fwd:
-                if isinstance(fwd, Span):
-                    fwd.set("shard", shard.index)
-                response = await self._forward(shard, raw)
+            response = await self._forward(shard, raw)
             shard.breaker.record_success()
         except ReproError as error:
             shard.breaker.record_failure()
-            if owns_claim and fingerprint is not None:
-                coalescer.abandon(fingerprint)
-            elapsed = time.perf_counter() - started
-            self._metrics.observe(request.op, "error", elapsed)
-            if request.is_live_mutation:
-                # A lost delta is NOT safe to retry blindly: the worker
-                # may have applied it before crashing, and the restarted
-                # worker has lost the session either way.
-                return error_response(
-                    request.id,
-                    ERROR_WORKER_CRASHED,
-                    f"{error}; the live session {name!r} must be recreated",
-                    retryable=False,
-                )
+            self._metrics.observe(request.op, "error", time.perf_counter() - started)
+            # A lost delta is NOT safe to retry blindly: the worker may
+            # have applied it before crashing, and the restarted worker
+            # has lost the session either way.
             return error_response(
                 request.id,
                 ERROR_WORKER_CRASHED,
-                f"{error}; the request is safe to retry",
+                f"{error}; the live session {name!r} must be recreated",
+                retryable=False,
             )
-
-        core = {
-            key: response[key]
-            for key in ("ok", "op", "result", "error", "server")
-            if key in response
-        }
-        core["shard"] = shard.index
-        elapsed = time.perf_counter() - started
-        if core.get("ok"):
-            if request.op == "live-audit" and fingerprint is not None:
-                if owns_claim:
-                    coalescer.publish(
-                        fingerprint,
-                        json.dumps(core, separators=(",", ":"), default=str),
-                    )
-                self._live_cached.setdefault(name, set()).add(fingerprint)
-            elif request.op == "apply-delta":
-                # Fleet-wide cache invalidation: drop every live-audit
-                # answer this delta just made stale.
-                for stale in self._live_cached.pop(name, ()):
-                    coalescer.forget(stale)
-            self._metrics.observe(request.op, "computed", elapsed)
-        else:
-            if owns_claim and fingerprint is not None:
-                coalescer.abandon(fingerprint)
-            self._metrics.observe(request.op, "error", elapsed)
-        return self._respond(request, core, elapsed)
+        core = self._core(response, shard)
+        if core.get("ok") and request.op == "apply-delta":
+            for stale in self._live_cached.pop(name, ()):
+                self._coalescer.forget(stale)
+        return self._respond(request, core, time.perf_counter() - started)
 
     async def _subscribe_upstream(
         self, shard: _Shard, request: AuditRequest, raw: bytes
@@ -1247,17 +953,19 @@ class FleetServer:
         server_doc = response.get("server")
         if isinstance(server_doc, dict):
             server_doc["shard"] = shard.index
-        response["_subscribe_relay"] = (reader, writer)
+        # After this ack the client connection relays the worker's
+        # notification stream (dedicated, non-pooled).
+        response[STREAM] = functools.partial(self._relay_stream, reader, writer)
         return response
 
     async def _relay_stream(
         self,
-        relay: Tuple[asyncio.StreamReader, asyncio.StreamWriter],
+        worker_reader: asyncio.StreamReader,
+        worker_writer: asyncio.StreamWriter,
         client_reader: asyncio.StreamReader,
         client_writer: asyncio.StreamWriter,
     ) -> None:
         """Pump worker notification lines to the client until either side ends."""
-        worker_reader, worker_writer = relay
         self._live_relays += 1
         eof = asyncio.ensure_future(client_reader.read(1))
         getter: Optional["asyncio.Future"] = None
@@ -1285,50 +993,16 @@ class FleetServer:
             with contextlib.suppress(Exception):
                 worker_writer.close()
 
-    async def _await_remote(
-        self,
-        coalescer: FleetCoalescer,
-        fingerprint: str,
-        timeout: float = 120.0,
-        *,
-        deadline: Optional[float] = None,
-    ) -> Optional[Dict[str, Any]]:
-        """Poll a pending row owned by another process until it resolves.
-
-        Returns ``None`` when the row went away (the caller retries its
-        claim) or the budget ran out (the caller's expiry check fires).
-        """
-        loop = asyncio.get_running_loop()
-        stop = loop.time() + timeout
-        if deadline is not None:
-            stop = min(stop, loop.time() + max(0.0, deadline - time.perf_counter()))
-        while loop.time() < stop:
-            await asyncio.sleep(0.01)
-            waiter = self._subscribers.get(fingerprint)
-            if waiter is not None:
-                try:
-                    return await self._await_within(waiter, deadline)
-                except asyncio.TimeoutError:
-                    return None
-            published = coalescer.lookup(fingerprint)
-            if published is not None:
-                return json.loads(published)
-            if coalescer.claim(fingerprint) is None:
-                # The owner abandoned; we inherited the claim.
-                coalescer.abandon(fingerprint)
-                return None
-            # Our claim attempt re-coalesced (row still pending): keep waiting.
-        return None
-
     @staticmethod
-    def _link_leader(core: Mapping[str, Any], relation: str) -> None:
-        """Record, on a follower's trace, a link to the leader's trace."""
-        trace = current_trace()
-        if trace is None:
-            return
-        leader = core.get("trace_id")
-        if isinstance(leader, str) and leader != trace.trace_id:
-            trace.link(leader, relation)
+    def _core(response: Mapping[str, Any], shard: _Shard) -> Dict[str, Any]:
+        """The parts of a worker response the router keeps (and may cache)."""
+        core = {
+            key: response[key]
+            for key in ("ok", "op", "result", "error", "server")
+            if key in response
+        }
+        core["shard"] = shard.index
+        return core
 
     def _respond(
         self,
@@ -1431,11 +1105,9 @@ class FleetServer:
                 mergeables.append(None)
             shards_doc.append(entry)
         merged = merge_snapshots(mergeables)
-        coalescer = self._coalescer
         merged["fleet"] = {
             "workers": len(self._shards),
             "routing": "rendezvous/request-fingerprint",
-            "boot_id": self._boot_id,
             "shard_queue_limit": self._shard_queue_limit,
             "connections_per_worker": self._connections_per_worker,
             "active_requests": self._active,
@@ -1446,7 +1118,7 @@ class FleetServer:
                 len(keys) for keys in self._live_cached.values()
             ),
             "uptime_seconds": round(time.time() - self._started_at, 3),
-            "coalescer": coalescer.stats() if coalescer is not None else None,
+            "coalescer": self._coalescer.stats(),
             "shards": shards_doc,
         }
         fault_stats = faults.stats()
@@ -1513,25 +1185,10 @@ def run_fleet(
     **fleet_options,
 ) -> None:
     """Run a fleet until ``shutdown`` / Ctrl-C (the CLI entry point)."""
-
-    async def _amain() -> None:
-        fleet = FleetServer(host, port, **fleet_options)
-        bound = await fleet.start()
-        if announce is not None:
-            announce(bound)
-        try:
-            await fleet.serve_until_stopped()
-        except asyncio.CancelledError:  # pragma: no cover - Ctrl-C path
-            await fleet.stop()
-            raise
-
-    try:
-        asyncio.run(_amain())
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
+    serve_forever(FleetServer(host, port, **fleet_options), announce)
 
 
-class FleetThread:
+class FleetThread(LoopThread):
     """A fleet running on a background thread (tests, benchmarks, demos).
 
     Usage::
@@ -1541,73 +1198,15 @@ class FleetThread:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, **fleet_options):
-        self._fleet = FleetServer(host, port, **fleet_options)
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._started = threading.Event()
-        self._address: Optional[Tuple[str, int]] = None
-        self._error: Optional[BaseException] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The router's bound ``(host, port)`` (valid after :meth:`start`)."""
-        if self._address is None:
-            raise ReproError("the fleet thread is not running")
-        return self._address
+        super().__init__(
+            FleetServer(host, port, **fleet_options), "repro-fleet-router", 120
+        )
 
     @property
     def fleet(self) -> FleetServer:
         """The wrapped :class:`FleetServer` (e.g. for ``worker_pids``)."""
-        return self._fleet
-
-    def start(self) -> "FleetThread":
-        """Boot the router loop thread and wait until the fleet listens."""
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            self._loop = loop
-            asyncio.set_event_loop(loop)
-
-            async def _main() -> None:
-                try:
-                    self._address = await self._fleet.start()
-                except BaseException as error:
-                    self._error = error
-                    self._started.set()
-                    return
-                self._started.set()
-                await self._fleet.serve_until_stopped()
-
-            try:
-                loop.run_until_complete(_main())
-            finally:
-                loop.close()
-
-        self._thread = threading.Thread(target=_run, name="repro-fleet-router", daemon=True)
-        self._thread.start()
-        self._started.wait(timeout=120)
-        if self._error is not None:
-            raise ReproError(f"the fleet failed to start: {self._error}")
-        if self._address is None:
-            raise ReproError("the fleet did not come up within 120s")
-        return self
+        return self._frontend
 
     def stop(self, timeout: float = 60) -> None:
         """Request a drain-then-stop and join the router thread."""
-        loop, thread = self._loop, self._thread
-        if loop is not None and thread is not None and thread.is_alive():
-            try:
-                loop.call_soon_threadsafe(
-                    lambda: self._fleet._stop_event is not None
-                    and self._fleet._stop_event.set()
-                )
-            except RuntimeError:
-                pass  # the loop already stopped (e.g. a client sent shutdown)
-            thread.join(timeout=timeout)
-        self._thread = None
-
-    def __enter__(self) -> "FleetThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        super().stop(timeout)

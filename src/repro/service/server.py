@@ -37,32 +37,26 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import contextvars
-import errno
 import functools
 import hashlib
 import os
-import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Any, Awaitable, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..audit.auditor import SecurityAuditor
 from ..exceptions import ReproError
 from ..obs import (
     CONTENT_TYPE,
     TRACES,
-    SlowLog,
     current_trace,
     record_span,
     render_prometheus,
-    slow_log_from_env,
     span,
-    start_trace,
     tracing_enabled,
 )
-from ..obs import install_from_env as install_tracing_from_env
 from . import faults
 from ..io import dictionary_from_dict, schema_from_dict
 from ..session import (
@@ -80,24 +74,20 @@ from ..session.results import (
     PlanAuditResult,
     VerificationResult,
 )
-from .metrics import ServiceMetrics
+from .frontend import STREAM, Frontend, LoopThread, await_within, link_leader, serve_forever
 from .protocol import (
     DEFAULT_MAX_PAYLOAD,
     ERROR_ANALYSIS,
     ERROR_DEADLINE_EXCEEDED,
     ERROR_INTERNAL,
     ERROR_OVERLOADED,
-    ERROR_PAYLOAD_TOO_LARGE,
-    OPERATIONS,
     PROTOCOL_VERSION,
     AuditRequest,
     ProtocolError,
-    decode_message,
     encode_message,
     error_response,
     knowledge_from_dict,
     ok_response,
-    parse_request,
     request_key,
     session_key,
 )
@@ -180,7 +170,7 @@ def result_payload(result: AnalysisResult) -> Dict[str, Any]:
     return payload
 
 
-class AuditServer:
+class AuditServer(Frontend):
     """The JSON-lines-over-TCP audit daemon.
 
     Parameters
@@ -239,21 +229,15 @@ class AuditServer:
             raise ReproError("queue_limit must be at least 1")
         if watchdog_seconds is not None and watchdog_seconds <= 0:
             raise ReproError("watchdog_seconds must be positive (or None)")
-        self._host = host
-        self._port = port
-        self._path = path
+        super().__init__(host, port, path=path, max_payload=max_payload, slow_ms=slow_ms)
         self._workers = workers or min(8, os.cpu_count() or 1)
         self._queue_limit = queue_limit
         self._max_sessions = max(1, max_sessions)
         self._result_cache_size = max(0, result_cache_size)
         self._session_cache_size = session_cache_size
-        self._max_payload = max_payload
         self._watchdog_seconds = watchdog_seconds
-        self._slow_ms = slow_ms
-        self._slow_log: SlowLog = SlowLog(slow_ms)
         self._abandoned_total = 0
         self._abandoned_running = 0
-        self._metrics = ServiceMetrics()
         self._sessions: "OrderedDict[str, AnalysisSession]" = OrderedDict()
         self._inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
         self._results: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
@@ -266,174 +250,44 @@ class AuditServer:
         self._live_result_keys: Dict[str, set] = {}
         self._pending = 0
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._connections = 0
-        self._connection_tasks: "set[asyncio.Task]" = set()
 
     # -- lifecycle ---------------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
         """Bind and start accepting connections; returns the bound address."""
         if self._server is not None:
             raise ReproError("the server is already running")
-        faults.install_from_env()
-        install_tracing_from_env()
-        self._slow_log = slow_log_from_env(self._slow_ms)
-        self._stop_event = asyncio.Event()
+        self._prepare()
         self._executor = ThreadPoolExecutor(
             max_workers=self._workers, thread_name_prefix="repro-audit"
         )
         # The stream limit sits above max_payload so an oversized-but-bounded
         # line is still read whole and answered with a structured error.
-        limit = max(2 * self._max_payload, 1 << 16)
         try:
-            if self._path is not None:
-                self._server = await asyncio.start_unix_server(
-                    self._on_connection, path=self._path, limit=limit
-                )
-            else:
-                self._server = await asyncio.start_server(
-                    self._on_connection, self._host, self._port, limit=limit
-                )
-        except OSError as error:
+            await self._listen(max(2 * self._max_payload, 1 << 16))
+        except ReproError:
             self._executor.shutdown(wait=False)
             self._executor = None
-            where = self._path if self._path is not None else f"{self._host}:{self._port}"
-            if error.errno == errno.EADDRINUSE:
-                raise ReproError(
-                    f"cannot bind {where}: address already in use "
-                    "(is another daemon running on this port?)"
-                ) from error
-            raise ReproError(
-                f"cannot bind {where}: {error.strerror or error}"
-            ) from error
+            raise
         return self.address
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` — or ``(path, 0)`` on a unix socket."""
-        if self._server is None or not self._server.sockets:
-            raise ReproError("the server is not running")
-        if self._path is not None:
-            return self._path, 0
-        host, port = self._server.sockets[0].getsockname()[:2]
-        return host, port
-
-    @property
-    def metrics(self) -> ServiceMetrics:
-        """The live metrics object."""
-        return self._metrics
-
-    async def serve_until_stopped(self) -> None:
-        """Block until a ``shutdown`` request (or :meth:`stop`) arrives."""
-        if self._stop_event is None:
-            raise ReproError("call start() first")
-        await self._stop_event.wait()
-        await self.stop()
 
     async def stop(self) -> None:
         """Stop accepting, drain pending work, release the worker pool."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await self._stop_listening()
         # Let in-flight analyses finish so clients waiting on coalesced
         # futures are answered before the pool disappears.
         while self._pending:
             await asyncio.sleep(0.01)
         # Then drop connections idling in readline().
-        for task in list(self._connection_tasks):
-            task.cancel()
-        if self._connection_tasks:
-            await asyncio.gather(*self._connection_tasks, return_exceptions=True)
+        await self._close_connections()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self._stop_event is not None:
-            self._stop_event.set()
-
-    # -- connection handling ------------------------------------------------------
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections += 1
-        task = asyncio.current_task()
-        if task is not None:
-            self._connection_tasks.add(task)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    # The line overran the stream buffer: the framing is
-                    # lost, so answer once and drop only this connection.
-                    self._metrics.observe("unknown", "error")
-                    writer.write(
-                        encode_message(
-                            error_response(
-                                None,
-                                ERROR_PAYLOAD_TOO_LARGE,
-                                "request line exceeded the stream buffer; "
-                                "connection closed",
-                            )
-                        )
-                    )
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                response = await self._handle_line(line)
-                dropped = False
-                for rule in faults.fire("server.respond", op=response.get("op")):
-                    if rule.action == "drop":
-                        dropped = True
-                    elif rule.action == "delay":
-                        await asyncio.sleep(rule.delay)
-                if dropped:
-                    # Simulate a connection lost mid-response: close
-                    # without answering (the client sees EOF and retries).
-                    break
-                subscribed = response.pop("_subscribe_live", None)
-                writer.write(encode_message(response))
-                await writer.drain()
-                if subscribed is not None:
-                    # The connection now belongs to the notification
-                    # stream: every further line we write is one
-                    # mutation's re-verdict document.
-                    await self._stream_notifications(subscribed, reader, writer)
-                    break
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover - client vanished
-            pass
-        except asyncio.CancelledError:
-            pass  # server shutdown; fall through to close the transport
-        finally:
-            self._connections -= 1
-            if task is not None:
-                self._connection_tasks.discard(task)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+        self.request_stop()
 
     async def _handle_line(self, line: bytes) -> Dict[str, Any]:
-        request_id = None
-        op = "unknown"
-        try:
-            document = decode_message(line, self._max_payload)
-            if isinstance(document, Mapping):
-                candidate = document.get("id")
-                if isinstance(candidate, (str, int, float)):
-                    request_id = candidate
-                # Attribute envelope errors to the named operation so the
-                # per-op error counters stay meaningful.  The op may be
-                # any JSON value here (an unhashable one must not kill
-                # the connection); parse_request rejects non-strings.
-                named = document.get("op")
-                if isinstance(named, str) and named in OPERATIONS:
-                    op = named
-            request = parse_request(document)
-        except ProtocolError as error:
-            self._metrics.observe(op, "error")
-            return error_response(request_id, error.code, str(error))
+        request = self._decode_line(line)
+        if not isinstance(request, AuditRequest):
+            return request
         if request.is_control:
             return self._handle_control(request)
         if request.is_live:
@@ -475,8 +329,7 @@ class AuditServer:
             return ok_response(request.id, "metrics", payload)
         # shutdown
         self._metrics.observe("shutdown", "computed")
-        if self._stop_event is not None:
-            self._stop_event.set()
+        self.request_stop()
         return ok_response(request.id, "shutdown", {"stopping": True})
 
     def _gauges(self) -> Dict[str, Any]:
@@ -547,50 +400,6 @@ class AuditServer:
         return payload
 
     # -- analysis dispatch --------------------------------------------------------
-    def _deadline_of(self, request: AuditRequest, started: float) -> Optional[float]:
-        """Absolute expiry (perf_counter clock) of one request, if any."""
-        deadline = None
-        if request.deadline_ms is not None:
-            deadline = started + request.deadline_ms / 1000.0
-        if self._watchdog_seconds is not None:
-            cap = started + self._watchdog_seconds
-            deadline = cap if deadline is None else min(deadline, cap)
-        return deadline
-
-    def _budget_text(self, request: AuditRequest) -> str:
-        if request.deadline_ms is not None:
-            return f"deadline of {request.deadline_ms:g}ms"
-        return f"watchdog of {self._watchdog_seconds:g}s"
-
-    def _deadline_expired(
-        self, request: AuditRequest, started: float, where: str
-    ) -> Dict[str, Any]:
-        elapsed = time.perf_counter() - started
-        self._metrics.observe(request.op, "deadline", elapsed)
-        return error_response(
-            request.id,
-            ERROR_DEADLINE_EXCEEDED,
-            f"{self._budget_text(request)} exceeded {where}",
-        )
-
-    @staticmethod
-    async def _await_within(
-        awaitable: Awaitable[Any], deadline: Optional[float]
-    ) -> Any:
-        """Await (shielded) until ``deadline``; raises ``TimeoutError``.
-
-        Shielding matters twice over: an impatient client must not
-        cancel a computation twins are awaiting, and a deadline expiry
-        must abandon — not cancel — the executor future so the eventual
-        result can still be harvested into the cache.
-        """
-        if deadline is None:
-            return await asyncio.shield(awaitable)
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0:
-            raise asyncio.TimeoutError
-        return await asyncio.wait_for(asyncio.shield(awaitable), timeout=remaining)
-
     def _reap_abandoned(self, key: str, task: "asyncio.Future") -> None:
         """An abandoned computation finished: harvest it (loop thread)."""
         self._abandoned_running -= 1
@@ -605,29 +414,11 @@ class AuditServer:
                 self._results.popitem(last=False)
 
     async def _handle_analysis(self, request: AuditRequest) -> Dict[str, Any]:
-        if not request.trace:
-            return await self._handle_analysis_core(request)
-        # Open a server-side trace for this request.  The router passes
-        # ``id``/``parent`` so the worker's spans graft under its own
-        # ``router.forward`` span; a bare ``{"return": true}`` from a
-        # client opens a fresh trace here.
-        spec = request.trace
-        trace_id = spec.get("id")
-        parent_id = spec.get("parent")
-        with start_trace(
-            "server.handle",
-            trace_id=trace_id if isinstance(trace_id, str) else None,
-            parent_id=parent_id if isinstance(parent_id, str) else None,
-        ) as trace:
-            trace.root.set("op", request.op)
-            response = await self._handle_analysis_core(request)
-        document = trace.to_dict()
-        TRACES.record(document)
-        self._slow_log.maybe_log(document, op=request.op)
-        server = response.get("server")
-        if isinstance(server, dict):
-            server["trace"] = document
-        return response
+        # Only the trace wrapper, kept apart so benchmarks/bench_observability.py
+        # can bind this name straight to the core as its untraced baseline.
+        return await self._with_trace(
+            "server.handle", request, self._handle_analysis_core(request)
+        )
 
     async def _handle_analysis_core(self, request: AuditRequest) -> Dict[str, Any]:
         key = request_key(request)
@@ -640,12 +431,12 @@ class AuditServer:
             # impatient client cannot cancel it from under the others).
             try:
                 with span("coalesce.follow"):
-                    response_core = await self._await_within(inflight, deadline)
+                    response_core = await await_within(inflight, deadline)
             except asyncio.TimeoutError:
                 return self._deadline_expired(
                     request, started, "while awaiting a twin computation"
                 )
-            self._link_leader(response_core, "coalesced-leader")
+            link_leader(response_core, "coalesced-leader")
             elapsed = time.perf_counter() - started
             self._metrics.observe(request.op, "coalesced", elapsed)
             return self._finish(request, response_core, elapsed, coalesced=True)
@@ -653,7 +444,7 @@ class AuditServer:
         cached = self._results.get(key)
         if cached is not None:
             self._results.move_to_end(key)
-            self._link_leader(cached, "result-cache")
+            link_leader(cached, "result-cache")
             elapsed = time.perf_counter() - started
             self._metrics.observe(request.op, "cached", elapsed)
             return self._finish(request, cached, elapsed, cached=True)
@@ -682,7 +473,7 @@ class AuditServer:
             try:
                 session = self._session_for(request)
                 work = self._submit(loop, session, request)
-                payload = await self._await_within(work, deadline)
+                payload = await await_within(work, deadline)
                 response_core = {"ok": True, "result": payload}
             except asyncio.TimeoutError:
                 # Watchdog: reclaim the slot now, let the stray thread
@@ -754,15 +545,6 @@ class AuditServer:
 
         return loop.run_in_executor(self._executor, context.run, _traced)
 
-    def _link_leader(self, response_core: Mapping[str, Any], relation: str) -> None:
-        """Record, on a follower's trace, a link to the leader's trace."""
-        trace = current_trace()
-        if trace is None:
-            return
-        leader = response_core.get("trace_id")
-        if isinstance(leader, str) and leader != trace.trace_id:
-            trace.link(leader, relation)
-
     def _finish(
         self,
         request: AuditRequest,
@@ -808,9 +590,9 @@ class AuditServer:
                     {"live": name, "revision": live.revision, "subscribed": True},
                     elapsed_ms=(time.perf_counter() - started) * 1000.0,
                 )
-                # Sentinel for _on_connection: after this ack the
-                # connection is dedicated to the notification stream.
-                response["_subscribe_live"] = name
+                # After this ack the connection is dedicated to the
+                # notification stream.
+                response[STREAM] = functools.partial(self._stream_notifications, name)
                 return response
 
             if request.op == "live-audit":
@@ -1102,25 +884,10 @@ def run_server(
     ``announce`` is called with the bound ``(host, port)`` once the
     socket is listening.
     """
-
-    async def _amain() -> None:
-        server = AuditServer(host, port, **server_options)
-        bound = await server.start()
-        if announce is not None:
-            announce(bound)
-        try:
-            await server.serve_until_stopped()
-        except asyncio.CancelledError:  # pragma: no cover - Ctrl-C path
-            await server.stop()
-            raise
-
-    try:
-        asyncio.run(_amain())
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
+    serve_forever(AuditServer(host, port, **server_options), announce)
 
 
-class ServerThread:
+class ServerThread(LoopThread):
     """A daemon running on a background thread (tests, benchmarks, demos).
 
     Usage::
@@ -1130,73 +897,11 @@ class ServerThread:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, **server_options):
-        self._server = AuditServer(host, port, **server_options)
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._started = threading.Event()
-        self._address: Optional[Tuple[str, int]] = None
-        self._error: Optional[BaseException] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        """The bound ``(host, port)`` (valid after :meth:`start`)."""
-        if self._address is None:
-            raise ReproError("the server thread is not running")
-        return self._address
+        super().__init__(
+            AuditServer(host, port, **server_options), "repro-audit-server", 30
+        )
 
     @property
     def server(self) -> AuditServer:
         """The wrapped :class:`AuditServer` (e.g. for ``metrics``)."""
-        return self._server
-
-    def start(self) -> "ServerThread":
-        """Boot the loop thread and wait until the socket is listening."""
-
-        def _run() -> None:
-            loop = asyncio.new_event_loop()
-            self._loop = loop
-            asyncio.set_event_loop(loop)
-
-            async def _main() -> None:
-                try:
-                    self._address = await self._server.start()
-                except BaseException as error:  # pragma: no cover - bind failure
-                    self._error = error
-                    self._started.set()
-                    return
-                self._started.set()
-                await self._server.serve_until_stopped()
-
-            try:
-                loop.run_until_complete(_main())
-            finally:
-                loop.close()
-
-        self._thread = threading.Thread(target=_run, name="repro-audit-server", daemon=True)
-        self._thread.start()
-        self._started.wait(timeout=30)
-        if self._error is not None:
-            raise ReproError(f"server failed to start: {self._error}")
-        if self._address is None:
-            raise ReproError("server did not come up within 30s")
-        return self
-
-    def stop(self, timeout: float = 30) -> None:
-        """Request a stop and join the loop thread."""
-        loop, thread = self._loop, self._thread
-        if loop is not None and thread is not None and thread.is_alive():
-            try:
-                loop.call_soon_threadsafe(
-                    lambda: self._server._stop_event is not None
-                    and self._server._stop_event.set()
-                )
-            except RuntimeError:
-                pass  # the loop already stopped (e.g. a client sent shutdown)
-            thread.join(timeout=timeout)
-        self._thread = None
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        return self._frontend

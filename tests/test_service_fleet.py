@@ -5,7 +5,7 @@ These boot a real router plus real worker processes
 sockets, covering the PR's hard guarantees:
 
 * a burst of identical requests on distinct connections costs exactly
-  one computation *fleet-wide* (router coalescing + shared table);
+  one computation *fleet-wide* (the router's coalescer);
 * routing is deterministic: one fingerprint, one shard;
 * ``stats`` aggregates every worker's mergeable metrics into one
   document with per-shard queue depths;
@@ -19,6 +19,7 @@ sockets, covering the PR's hard guarantees:
 
 from __future__ import annotations
 
+import asyncio
 import hashlib
 import json
 import os
@@ -440,52 +441,145 @@ class TestBindErrors:
         assert "Traceback" not in captured.err
 
 
+def _in_loop(body, **options):
+    """Run ``body(table)`` on a fresh event loop: claims create futures."""
+
+    async def _main():
+        return body(FleetCoalescer(**options))
+
+    return asyncio.run(_main())
+
+
+OK_CORE = {"ok": True, "result": {"verdict": True}}
+FAILED_CORE = {"ok": False, "error": {"code": "worker-crashed", "message": "gone"}}
+
+
 class TestFleetCoalescerTable:
-    def test_claim_publish_cache_hit(self, tmp_path):
-        with FleetCoalescer(str(tmp_path / "t.db"), owner=1) as table:
-            assert table.claim("fp") is None  # first caller owns
-            assert table.claim("fp") == ""  # second subscribes
-            table.publish("fp", '{"ok": true}')
-            assert table.claim("fp") == '{"ok": true}'
-            assert table.lookup("fp") == '{"ok": true}'
+    def test_claim_publish_cache_hit(self):
+        def body(table):
+            owner, claim = table.claim("fp")
+            assert owner  # first caller owns
+            follower, followed = table.claim("fp")
+            assert not follower and followed is claim  # second follows
+            assert table.lookup("fp") is None  # nothing cached while pending
+            table.publish("fp", claim, OK_CORE)
+            assert table.lookup("fp") is OK_CORE
+            assert table.stats()["pending"] == 0
 
-    def test_abandon_reopens_the_claim(self, tmp_path):
-        with FleetCoalescer(str(tmp_path / "t.db"), owner=1) as table:
-            assert table.claim("fp") is None
-            table.abandon("fp")
-            assert table.claim("fp") is None  # ownership is claimable again
+        _in_loop(body)
 
-    def test_result_cache_is_bounded(self, tmp_path):
-        with FleetCoalescer(str(tmp_path / "t.db"), owner=1, cache_size=3) as table:
+    def test_abandon_reopens_the_claim(self):
+        # Abandoning is publishing a failed core: ownership is claimable again.
+        def body(table):
+            _, claim = table.claim("fp")
+            table.publish("fp", claim, FAILED_CORE)
+            owner, fresh = table.claim("fp")
+            assert owner and fresh is not claim
+
+        _in_loop(body)
+
+    def test_result_cache_is_bounded(self):
+        def body(table):
             for index in range(6):
-                assert table.claim(f"fp{index}") is None
-                table.publish(f"fp{index}", f'"{index}"')
-            stats = table.stats()
-            assert stats["cached_results"] == 3
+                _, claim = table.claim(f"fp{index}")
+                table.publish(f"fp{index}", claim, {"ok": True, "result": index})
+            assert table.stats()["cached_results"] == 3
             assert table.lookup("fp5") is not None
             assert table.lookup("fp0") is None
 
-    def test_forget_drops_a_published_result(self, tmp_path):
-        with FleetCoalescer(str(tmp_path / "t.db"), owner=1) as table:
-            assert table.claim("fp") is None
-            table.publish("fp", '{"ok": true}')
+        _in_loop(body, cache_size=3)
+
+    def test_forget_drops_a_published_result(self):
+        def body(table):
+            _, claim = table.claim("fp")
+            table.publish("fp", claim, OK_CORE)
             assert table.lookup("fp") is not None
             assert table.forget("fp") == 1
             assert table.lookup("fp") is None
-            # The row is gone outright: the next caller owns a fresh claim.
-            assert table.claim("fp") is None
-            table.abandon("fp")
+            # The entry is gone outright: the next caller owns a fresh claim.
+            assert table.claim("fp")[0]
             assert table.forget("missing") == 0
             assert table.stats()["forgotten"] == 1
 
-    def test_forget_drops_a_pending_claim(self, tmp_path):
+        _in_loop(body)
+
+    def test_forget_drops_a_pending_claim(self):
         # A delta can land while a live-audit is still being computed;
-        # forget must remove the pending row too, whatever its state.
-        with FleetCoalescer(str(tmp_path / "t.db"), owner=1) as table:
-            assert table.claim("fp") is None  # pending, never published
+        # forget must remove the pending claim too.
+        def body(table):
+            table.claim("fp")  # pending, never published
             assert table.forget("fp") == 1
-            assert table.claim("fp") is None  # claimable again
+            assert table.claim("fp")[0]  # claimable again
             assert table.stats()["forgotten"] == 1
+
+        _in_loop(body)
+
+    def test_followers_receive_the_owner_core(self):
+        async def _main():
+            table = FleetCoalescer()
+            _, claim = table.claim("fp")
+            followers = [table.claim("fp")[1] for _ in range(3)]
+            table.publish("fp", claim, OK_CORE)
+            return await asyncio.gather(*followers), table.stats()
+
+        cores, stats = asyncio.run(_main())
+        assert cores == [OK_CORE] * 3
+        assert stats["claims"] == 1 and stats["coalesced"] == 3
+
+    def test_failed_publish_resolves_followers_but_is_not_cached(self):
+        def body(table):
+            _, claim = table.claim("fp")
+            _, followed = table.claim("fp")
+            table.publish("fp", claim, FAILED_CORE)
+            assert followed.result() is FAILED_CORE
+            assert table.lookup("fp") is None
+            assert table.stats()["failed"] == 1
+
+        _in_loop(body)
+
+    def test_lru_evicts_by_recency(self):
+        def body(table):
+            for fingerprint in ("a", "b"):
+                _, claim = table.claim(fingerprint)
+                table.publish(fingerprint, claim, OK_CORE)
+            assert table.lookup("a") is not None  # "a" is now the most recent
+            _, claim = table.claim("c")
+            table.publish("c", claim, OK_CORE)
+            assert table.lookup("b") is None
+            assert table.lookup("a") is not None
+            assert table.lookup("c") is not None
+
+        _in_loop(body, cache_size=2)
+
+    def test_zero_cache_size_caches_nothing(self):
+        def body(table):
+            _, claim = table.claim("fp")
+            _, followed = table.claim("fp")
+            table.publish("fp", claim, OK_CORE)
+            assert followed.result() is OK_CORE  # still deduplicated in flight
+            assert table.lookup("fp") is None
+            assert table.stats()["cached_results"] == 0
+
+        _in_loop(body, cache_size=0)
+
+    def test_publish_after_forget_is_not_cached(self):
+        def body(table):
+            _, stale = table.claim("fp")
+            _, followed = table.claim("fp")
+            table.forget("fp")  # a delta lands mid-computation
+            owner, fresh = table.claim("fp")
+            assert owner
+            table.publish("fp", stale, OK_CORE)
+            assert followed.result() is OK_CORE  # followers still resolve
+            assert table.lookup("fp") is None
+            assert not fresh.done()  # the newer claim is untouched
+            assert table.stats()["pending"] == 1
+
+        _in_loop(body)
+
+    def test_negative_cache_size_is_rejected(self):
+        with pytest.raises(ReproError):
+            FleetCoalescer(cache_size=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -578,3 +672,58 @@ class TestFleetLive:
         assert not first["server"].get("fleet_cached")
         assert not second["server"].get("fleet_cached")
         assert second["result"]["revision"] == 2
+
+    def test_live_ops_are_counted_once_fleet_wide(self, client):
+        # The worker records every live operation it answers; the router
+        # records only the outcomes it produces itself (shed, transport).
+        self._create(client, "fleet-count")
+
+        def computed(op):
+            return client.stats()["operations"].get(op, {}).get("computed", 0)
+
+        before = computed("apply-delta"), computed("live-audit")
+        client.call("apply-delta", live="fleet-count", add=[LIVE_OTHER])
+        client.call("live-audit", live="fleet-count")
+        assert (computed("apply-delta"), computed("live-audit")) == (
+            before[0] + 1,
+            before[1] + 1,
+        )
+
+    def test_delta_during_an_inflight_audit_is_not_served_stale(self, monkeypatch):
+        # The worker holds its first live-audit answer for a second, so an
+        # apply-delta lands while that audit is still in flight.  The late
+        # pre-delta answer must not become the fleet-cached one.
+        rule = {
+            "point": "server.respond",
+            "action": "delay",
+            "op": "live-audit",
+            "shard": 0,
+            "delay": 1.0,
+            "count": 1,
+        }
+        monkeypatch.setenv(
+            faults.FAULT_PLAN_ENV, json.dumps({"seed": 0, "faults": [rule]})
+        )
+        name = "fleet-race"
+        with FleetThread(workers=1, worker_threads=2) as fleet:
+            with AuditServiceClient(*fleet.address) as first:
+                self._create(first, name)
+                answers = []
+                audit = threading.Thread(
+                    target=lambda: answers.append(
+                        first.request("live-audit", live=name)
+                    )
+                )
+                audit.start()
+                _wait_in_flight(fleet, [0], 1)
+                with AuditServiceClient(*fleet.address) as second:
+                    delta = second.call("apply-delta", live=name, add=[LIVE_OTHER])
+                assert delta["revision"] == 1
+                audit.join(30.0)
+            assert answers and answers[0]["ok"] is True
+            with AuditServiceClient(*fleet.address) as fresh:
+                after = fresh.request("live-audit", live=name)
+        assert after["ok"] is True
+        assert not after["server"].get("fleet_cached")
+        assert after["result"]["revision"] == 1
+        assert after["result"]["fact_count"] == 2
